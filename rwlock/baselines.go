@@ -162,17 +162,25 @@ var _ CtxRWLock = (*CentralizedRW)(nil)
 // after at most one writer, regardless of how many writers are queued.
 type PhaseFairRW struct {
 	_    noCopy
-	rin  waitCell     // readers-in << 8 | writer presence/phase bits
-	rout waitCell     // readers-out << 8
+	rin  waitCell     // readers-in << 32 | writer presence bit | writer phase
+	rout waitCell     // readers-out << 32
 	win  atomic.Int64 // writer ticket dispenser (never waited on)
 	_    [56]byte
 	wout waitCell // writer tickets served
 }
 
+// The writer phase is the writer's ticket modulo 2^31, not just its
+// parity: a writer that undoes its passage (TryLock finding readers, a
+// cancelled LockCtx) ends its phase without draining anybody, so with a
+// one-bit phase the next writer but one could put the same bits back
+// while a reader registered under them still waits — the reader would
+// miss its boundary, and the writer would count it, a deadlock.  With
+// the ticket as the phase the bits cannot recur within 2^31 writer
+// passages.
 const (
-	pfReader = int64(0x100) // one reader unit in rin/rout
-	pfPres   = int64(0x2)   // writer-present bit
-	pfPhase  = int64(0x1)   // writer phase parity bit
+	pfReader = int64(1) << 32 // one reader unit in rin/rout
+	pfPres   = int64(1) << 31 // writer-present bit
+	pfPhase  = pfPres - 1     // writer phase: ticket mod 2^31
 	pfWBits  = pfPres | pfPhase
 )
 
@@ -242,15 +250,22 @@ func (l *PhaseFairRW) TryLock() (WToken, bool) {
 	return WToken{id: w}, true
 }
 
-// TryRLock attempts read mode without blocking; failure retires
-// through a zero-length read passage (count out through rout), which
-// the writer draining rin-before-me readers accounts exactly.
+// TryRLock attempts read mode without blocking.  It registers only
+// by a CAS of a writer-free rin, so it never has to retreat: a reader
+// registered after a writer's bits is not among the readers that
+// writer drains (rout must reach exactly its snapshot of rin), and an
+// exit through rout would be miscounted as one of theirs.  The loop
+// retries only when another reader's registration moved rin.
 func (l *PhaseFairRW) TryRLock() (RToken, bool) {
-	if (l.rin.add(pfReader)-pfReader)&pfWBits != 0 {
-		l.rout.addWake(pfReader)
-		return RToken{}, false
+	for {
+		v := l.rin.load()
+		if v&pfWBits != 0 {
+			return RToken{}, false
+		}
+		if l.rin.cas(v, v+pfReader) {
+			return RToken{}, true
+		}
 	}
-	return RToken{}, true
 }
 
 // LockCtx acquires write mode.  The ticket fetch&add is the point of
@@ -275,15 +290,26 @@ func (l *PhaseFairRW) LockCtx(ctx context.Context) (WToken, error) {
 	return WToken{id: w}, nil
 }
 
-// RLockCtx acquires read mode; a reader cancelled at the phase
-// boundary retires through a zero-length read passage.
+// RLockCtx acquires read mode.  A reader cancelled at the phase
+// boundary takes its registration back out of rin rather than
+// exiting through rout: it registered after the writer's bits, so the
+// writer's drain does not count it.  The removal is a CAS that
+// requires the writer bits it waited on to be still up — while they
+// are, no later writer can have counted the registration (a later
+// writer's bits differ, see pfPhase).  If they have changed the
+// reader is admitted, and the grant wins.
 func (l *PhaseFairRW) RLockCtx(ctx context.Context) (RToken, error) {
 	w := (l.rin.add(pfReader) - pfReader) & pfWBits
 	if w != 0 {
 		err := l.rin.waitUntilCtx(ctx, func(v int64) bool { return v&pfWBits != w })
-		if err != nil {
-			l.rout.addWake(pfReader)
-			return RToken{}, err
+		for err != nil {
+			v := l.rin.load()
+			if v&pfWBits != w {
+				return RToken{}, nil
+			}
+			if l.rin.cas(v, v-pfReader) {
+				return RToken{}, err
+			}
 		}
 	}
 	return RToken{}, nil

@@ -140,6 +140,12 @@ type Epoch struct {
 	lstats *LockStats
 }
 
+// paddedInt64 is an atomic.Int64 alone on its cache line.
+type paddedInt64 struct {
+	v atomic.Int64
+	_ [56]byte
+}
+
 // epochSlot is one reader's stamp word: the waitCell keeps the word on
 // its own cache line (the padding the false-sharing audit asserts) and
 // gives the writer's grace scan the lock's wait strategy for free.

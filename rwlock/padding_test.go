@@ -1,6 +1,7 @@
 package rwlock
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -108,6 +109,57 @@ func TestEpochGlobalPadding(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(paddedInt64{}); sz != cacheLine {
 		t.Errorf("sizeof(paddedInt64) = %d, want %d", sz, cacheLine)
+	}
+}
+
+// TestSWWPCoreCounterLine: the Figure 1 counters C[0], C[1] and EC
+// are only ever fetch&added, never waited on, so they share one line
+// on purpose — a reader's exit adds and a writer's waiting-room adds
+// then pay one line transfer per run, not one per add.  That line
+// must start on a line boundary and hold no word anyone waits on or
+// reads on every passage: not D, not a permit or gate cell.
+func TestSWWPCoreCounterLine(t *testing.T) {
+	var l swwpCore
+	line := unsafe.Offsetof(l.c)
+	if line%cacheLine != 0 {
+		t.Errorf("swwpCore.c at offset %d, want a %d-byte boundary", line, cacheLine)
+	}
+	onLine := func(off, size uintptr) bool { return off < line+cacheLine && off+size > line }
+	counters := []struct {
+		name string
+		off  uintptr
+	}{
+		{"c[0]", line},
+		{"c[1]", line + unsafe.Sizeof(l.c[0])},
+		{"ec", unsafe.Offsetof(l.ec)},
+	}
+	for _, f := range counters {
+		if f.off < line || f.off+8 > line+cacheLine {
+			t.Errorf("swwpCore.%s at offset %d, outside the counter line [%d, %d)", f.name, f.off, line, line+cacheLine)
+		}
+	}
+	type span struct {
+		name      string
+		off, size uintptr
+	}
+	word := unsafe.Sizeof(l.exitPermit.v)
+	cell := unsafe.Sizeof(waitCell{})
+	hot := []span{
+		{"d", unsafe.Offsetof(l.d), unsafe.Sizeof(l.d)},
+		{"exitPermit", unsafe.Offsetof(l.exitPermit), word},
+	}
+	for i := uintptr(0); i < 2; i++ {
+		hot = append(hot,
+			span{fmt.Sprintf("permit[%d]", i), unsafe.Offsetof(l.permit) + i*cell, word},
+			span{fmt.Sprintf("gate[%d]", i), unsafe.Offsetof(l.gate) + i*cell, word})
+	}
+	for _, f := range hot {
+		if onLine(f.off, f.size) {
+			t.Errorf("swwpCore.%s at offset %d shares the counter line at %d", f.name, f.off, line)
+		}
+		if f.name != "d" && f.off%cacheLine != 0 {
+			t.Errorf("swwpCore.%s at offset %d, want a %d-byte boundary", f.name, f.off, cacheLine)
+		}
 	}
 }
 

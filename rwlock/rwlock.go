@@ -116,11 +116,12 @@
 // set+wake side — whose behavior is selected per lock with
 // WithWaitStrategy:
 //
-//   - SpinYield (default): re-check the word, runtime.Gosched every
-//     iteration.  This preserves the algorithms' structure and cost
-//     model exactly: each re-check is one read of one cached word
-//     that only the wake-up write invalidates, so passages stay O(1)
-//     RMRs on cache-coherent machines.
+//   - SpinYield (default): re-check the word — a bounded tight spin
+//     first when the lock was built at GOMAXPROCS > 1, then one
+//     runtime.Gosched per re-check.  This preserves the algorithms'
+//     structure and cost model exactly: each re-check is one read of
+//     one cached word that only the wake-up write invalidates, so
+//     passages stay O(1) RMRs on cache-coherent machines.
 //   - SpinThenPark: bounded local spinning, then park the goroutine
 //     on the cell's semaphore; the signalling side's write doubles as
 //     the wake.  Choose this when goroutines can outnumber

@@ -1,6 +1,7 @@
 package rwlock
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,6 +215,65 @@ func TestPhaseFairOnePhaseBound(t *testing.T) {
 			wtB := <-wtBCh
 			l.Unlock(wtB)
 		})
+	}
+}
+
+// TestPhaseFairReaderRetreat: a writer drains exactly the readers
+// that arrived before its writer bits (rout must reach its snapshot
+// of rin).  A reader that arrives after the bits and then gives up — a
+// failed TryRLock, or an RLockCtx cancelled at the phase boundary —
+// is not among them, so its retreat must not count as one of their
+// exits: it would let the writer in while an earlier reader is still
+// inside, or carry rout past the value the writer waits for and hang
+// it.
+func TestPhaseFairReaderRetreat(t *testing.T) {
+	retreats := map[string]func(t *testing.T, l *PhaseFairRW){
+		"TryRLock": func(t *testing.T, l *PhaseFairRW) {
+			if _, ok := l.TryRLock(); ok {
+				t.Fatal("TryRLock succeeded while a writer was draining")
+			}
+		},
+		"RLockCtx": func(t *testing.T, l *PhaseFairRW) {
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := l.RLockCtx(ctx)
+				done <- err
+			}()
+			time.Sleep(5 * time.Millisecond) // let the reader wait at the boundary
+			cancel()
+			if err := <-done; err != context.Canceled {
+				t.Fatalf("RLockCtx = %v, want context.Canceled", err)
+			}
+		},
+	}
+	for _, strat := range strategies() {
+		for name, retreat := range retreats {
+			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+				l := NewPhaseFairRW(WithWaitStrategy(strat))
+				rt := l.RLock()
+				wtCh := make(chan WToken, 1)
+				go func() { wtCh <- l.Lock() }()
+				for l.rin.load()&pfWBits == 0 {
+					time.Sleep(time.Millisecond) // until the writer's bits are up
+				}
+				retreat(t, l)
+				select {
+				case <-wtCh:
+					t.Fatal("writer entered while an earlier reader was inside")
+				case <-time.After(20 * time.Millisecond):
+				}
+				l.RUnlock(rt)
+				select {
+				case wt := <-wtCh:
+					l.Unlock(wt)
+				case <-time.After(5 * time.Second):
+					t.Fatal("writer never entered after the last earlier reader left")
+				}
+				l.RUnlock(l.RLock())
+				l.Unlock(l.Lock())
+			})
+		}
 	}
 }
 

@@ -267,6 +267,79 @@ func TestStatsChurn(t *testing.T) {
 	})
 }
 
+// outsideStatsSeam names the registry locks that ignore WithStats.
+var outsideStatsSeam = map[string]bool{
+	"CentralizedRW": true,
+	"PhaseFairRW":   true,
+	"TaskFairRW":    true,
+	"RWMutexLock":   true,
+}
+
+// seamLocks returns every lock that implements the WithStats seam,
+// built with opts: the registry's seam locks, the single-writer
+// cores, and the multi-writer locks over the flat combiner (whose
+// closure write path counts its own sheds).
+func seamLocks(opts ...Option) map[string]statsLock {
+	out := map[string]statsLock{}
+	for name, l := range locks(opts...) {
+		if !outsideStatsSeam[name] {
+			out[name] = l.(statsLock)
+		}
+	}
+	for name, l := range singleWriterLocks(opts...) {
+		out[name] = l.(statsLock)
+	}
+	comb := append([]Option{WithCombiningWriters()}, opts...)
+	out["MWSF/combine"] = NewMWSF(comb...)
+	out["MWRP/combine"] = NewMWRP(comb...)
+	out["MWWP/combine"] = NewMWWP(comb...)
+	return out
+}
+
+// TestStatsCtxShedsPreCancelled pins the shed count of the ctx entry
+// points deterministically: on every seam lock, a LockCtx and a
+// WriteCtx on an idle lock and an RLockCtx under a held write lock,
+// each with an already-cancelled context, must fail and add exactly
+// one to CtxSheds.  (An RLockCtx on an idle lock may be granted — the
+// grant wins the race — so the reader is tried under a writer.)
+func TestStatsCtxShedsPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name := range seamLocks() {
+		t.Run(name, func(t *testing.T) {
+			st := &LockStats{}
+			l := seamLocks(WithStats(st))[name]
+			var sheds uint64
+			check := func(op string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s with a cancelled context succeeded, want an error", op)
+				}
+				sheds++
+				if got := st.Snapshot().CtxSheds; got != sheds {
+					t.Errorf("after %s: ctx_sheds = %d, want %d", op, got, sheds)
+				}
+			}
+			_, err := l.LockCtx(ctx)
+			check("LockCtx", err)
+			check("WriteCtx", l.(CtxFuncWriter).WriteCtx(ctx, func() { t.Error("WriteCtx ran cs") }))
+			wt := l.Lock()
+			_, err = l.RLockCtx(ctx)
+			check("RLockCtx under a writer", err)
+			l.Unlock(wt)
+			// The sheds left the lock usable and took no acquisition.
+			l.RUnlock(l.RLock())
+			s := st.Snapshot()
+			if s.WriteAcquires != 1 || s.ReadAcquires != 1 {
+				t.Errorf("write_acquires %d, read_acquires %d; want 1 and 1", s.WriteAcquires, s.ReadAcquires)
+			}
+			if err := s.CheckCoherence(); err != nil {
+				t.Errorf("CheckCoherence: %v", err)
+			}
+		})
+	}
+}
+
 // TestStatsCombining checks the flat-combining batch counters: the
 // closure write path must account every combined op, and batch
 // geometry must be coherent.

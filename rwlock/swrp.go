@@ -291,6 +291,9 @@ func (l *SWRP) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
 // a concurrent write attempt (single-writer contract).
 func (l *SWRP) LockCtx(ctx context.Context) (WToken, error) {
 	if err := ctx.Err(); err != nil {
+		if st := l.core.stats; st != nil {
+			st.CtxSheds.Add(1)
+		}
 		return WToken{}, err
 	}
 	if !l.writerBusy.CompareAndSwap(false, true) {

@@ -10,29 +10,34 @@ import (
 // directly; MWSF wraps its writer side in Anderson's lock (Figure 3)
 // and MWWP threads it through the Figure 4 W-token handoff.  The
 // variables that distinct processes wait on are waitCells (one padded
-// word plus the wake seam of the chosen WaitStrategy); the counters,
-// which are only fetch&added and never waited on, stay plain padded
-// atomics.
+// word plus the wake seam of the chosen WaitStrategy), each alone on
+// its line, as the local-spin argument needs.
+//
+// The counters C[0], C[1] and EC share ONE line, deliberately.  No
+// process ever waits on them — they are only fetch&added — so the
+// local-spin argument does not need them apart, and keeping them
+// apart only multiplies line transfers: a reader's exit (EC+1, C-1,
+// EC-1) would move two contended lines three times, where on one line
+// the run of adds pays for one transfer.  The same holds for the
+// writer's waiting-room adds.  D (read by every reader, written by
+// every writer doorway) stays on its own line with the read-only
+// stats pointer, so a writer's toggle does not invalidate the
+// counters and a reader's adds do not invalidate D.
 type swwpCore struct {
-	d          atomic.Int32
-	_          [60]byte
-	exitPermit waitCell
-	permit     [2]waitCell
-	gate       [2]waitCell
-	ec         atomic.Int64
-	_          [56]byte
-	c          [2]paddedInt64
+	c  [2]atomic.Int64
+	ec atomic.Int64
+	_  [40]byte
+	d  atomic.Int32
+	_  [4]byte
 	// stats, when non-nil, receives the read-path counters (acquires,
 	// contended, sheds) and sampled read-wait latencies.  Write-path
 	// counters belong to the wrapping lock, which knows its own
 	// arbitration; the core only ever counts reads.  See WithStats.
-	stats *LockStats
-}
-
-// paddedInt64 is an atomic.Int64 alone on its cache line.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
+	stats      *LockStats
+	_          [48]byte
+	exitPermit waitCell
+	permit     [2]waitCell
+	gate       [2]waitCell
 }
 
 // init sets the paper's initial values — D=0, Gate[0]=true,
@@ -67,10 +72,10 @@ func (l *swwpCore) writerDoorway() (prev, cur int32) {
 // waits on them, and it is the one writing.
 func (l *swwpCore) writerWaitingRoom(prev int32) {
 	l.permit[prev].store(cellFalse)
-	if l.c[prev].v.Add(wwBit) != wwBit { // old value != [0,0]
+	if l.c[prev].Add(wwBit) != wwBit { // old value != [0,0]
 		l.permit[prev].wait(cellTrue)
 	}
-	l.c[prev].v.Add(-wwBit)
+	l.c[prev].Add(-wwBit)
 	l.gate[prev].store(cellFalse) // closing: nobody waits for false
 	l.exitPermit.store(cellFalse)
 	if l.ec.Add(wwBit) != wwBit { // old value != [0,0]
@@ -103,13 +108,13 @@ func (l *swwpCore) writePassage(cs func()) {
 // to wait on.
 func (l *swwpCore) registerReader() int32 {
 	d := l.d.Load()
-	l.c[d].v.Add(1) // line 17
+	l.c[d].Add(1) // line 17
 	d2 := l.d.Load()
 	if d != d2 { // line 19: the writer moved; re-register
-		l.c[d2].v.Add(1) // line 20
-		d = l.d.Load()   // line 21
+		l.c[d2].Add(1) // line 20
+		d = l.d.Load() // line 21
 		other := 1 - d
-		if l.c[other].v.Add(-1) == wwBit { // line 22: old value was [1,1]
+		if l.c[other].Add(-1) == wwBit { // line 22: old value was [1,1]
 			l.permit[other].storeWake(cellTrue) // line 23
 		}
 	}
@@ -204,15 +209,15 @@ func (l *swwpCore) readerLockCtx(ctx context.Context) (RToken, error) {
 // may register the next instant, which is the race window TryLock's
 // documentation qualifies.
 func (l *swwpCore) readersIdle() bool {
-	return l.c[0].v.Load()&(wwBit-1) == 0 &&
-		l.c[1].v.Load()&(wwBit-1) == 0 &&
+	return l.c[0].Load()&(wwBit-1) == 0 &&
+		l.c[1].Load()&(wwBit-1) == 0 &&
 		l.ec.Load()&(wwBit-1) == 0
 }
 
 // readerUnlock is Figure 1 lines 26-30.
 func (l *swwpCore) readerUnlock(t RToken) {
-	l.ec.Add(1)                         // line 26
-	if l.c[t.side].v.Add(-1) == wwBit { // line 27: old value was [1,1]
+	l.ec.Add(1)                       // line 26
+	if l.c[t.side].Add(-1) == wwBit { // line 27: old value was [1,1]
 		l.permit[t.side].storeWake(cellTrue) // line 28
 	}
 	if l.ec.Add(-1) == wwBit { // line 29: old value was [1,1]
@@ -313,6 +318,9 @@ func (l *SWWP) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
 // it panics on a concurrent write attempt (single-writer contract).
 func (l *SWWP) LockCtx(ctx context.Context) (WToken, error) {
 	if err := ctx.Err(); err != nil {
+		if st := l.core.stats; st != nil {
+			st.CtxSheds.Add(1)
+		}
 		return WToken{}, err
 	}
 	if !l.writerBusy.CompareAndSwap(false, true) {

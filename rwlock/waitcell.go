@@ -19,8 +19,10 @@ import (
 type WaitStrategy int32
 
 const (
-	// SpinYield re-reads the wait word in a loop, calling
-	// runtime.Gosched every iteration.  This is the paper's busy-wait
+	// SpinYield re-reads the wait word in a loop: on a lock built at
+	// GOMAXPROCS > 1, a bounded tight spin first (a wake from another
+	// P usually lands inside it, with no scheduler round trip), then
+	// one runtime.Gosched per re-check.  This is the paper's busy-wait
 	// realized cooperatively: each re-check is one read of one locally
 	// cached word, so a passage stays O(1) RMRs, and the goroutine
 	// never blocks.  It is the default, and the right choice when
@@ -146,9 +148,14 @@ func applyOptionsAll(opts []Option) options {
 // small on purpose: when the machine is NOT oversubscribed the wake
 // usually lands inside the tight phase, and when it IS, yielding more
 // only delays the inevitable park.
+//
+// yieldSpin bounds SpinYield's tight phase before its per-re-check
+// yields.  It applies only to cells set up at GOMAXPROCS > 1: with one
+// P the signaller cannot run while the waiter spins.
 const (
 	parkSpin  = 128
 	parkYield = 4
+	yieldSpin = 256
 )
 
 // cellFalse/cellTrue encode the paper's boolean shared variables in a
@@ -165,8 +172,9 @@ const (
 // touched only when a waiter actually parks, or by the signaller's
 // single parked-count probe.
 //
-// The zero value is a ready-to-use SpinYield cell holding 0; call
-// setStrategy before first use to opt into parking.
+// The zero value is a ready-to-use SpinYield cell holding 0, without
+// the spin phase; call setStrategy before first use to select the
+// strategy and its spin bound.
 type waitCell struct {
 	v atomic.Int64
 	_ [56]byte
@@ -187,13 +195,28 @@ type waitCell struct {
 	// park slow path (see WithStats).  Cold by construction: it is
 	// only touched after the spin and yield phases have given up.
 	stats *LockStats
-	_     [32]byte
+	// spin is the number of tight re-checks a wait makes after its
+	// first miss, before it yields: parkSpin under SpinThenPark,
+	// yieldSpin under SpinYield at GOMAXPROCS > 1, else 0.
+	spin int32
+	_    [28]byte
 }
 
-// setStrategy selects the cell's wait behavior.  Not safe to call
-// concurrently with waits; lock constructors call it before the lock
-// escapes.
-func (c *waitCell) setStrategy(s WaitStrategy) { c.park = s == SpinThenPark }
+// setStrategy selects the cell's wait behavior, fixing the spin phase
+// from GOMAXPROCS now so the wait path never reads it.  Not safe to
+// call concurrently with waits; lock constructors call it before the
+// lock escapes.
+func (c *waitCell) setStrategy(s WaitStrategy) {
+	c.park = s == SpinThenPark
+	switch {
+	case c.park:
+		c.spin = parkSpin
+	case runtime.GOMAXPROCS(0) > 1:
+		c.spin = yieldSpin
+	default:
+		c.spin = 0
+	}
+}
 
 // setStats installs the owning lock's counter block on the cell so
 // actual goroutine parks are counted.  Like setStrategy, it must be
@@ -251,16 +274,16 @@ func (c *waitCell) wait(want int64) {
 	if c.v.Load() == want {
 		return
 	}
+	for i := c.spin; i > 0; i-- {
+		if c.v.Load() == want {
+			return
+		}
+	}
 	if !c.park {
 		for c.v.Load() != want {
 			runtime.Gosched()
 		}
 		return
-	}
-	for i := 0; i < parkSpin; i++ {
-		if c.v.Load() == want {
-			return
-		}
 	}
 	for i := 0; i < parkYield; i++ {
 		runtime.Gosched()
@@ -279,16 +302,16 @@ func (c *waitCell) waitUntil(pred func(int64) bool) {
 	if pred(c.v.Load()) {
 		return
 	}
+	for i := c.spin; i > 0; i-- {
+		if pred(c.v.Load()) {
+			return
+		}
+	}
 	if !c.park {
 		for !pred(c.v.Load()) {
 			runtime.Gosched()
 		}
 		return
-	}
-	for i := 0; i < parkSpin; i++ {
-		if pred(c.v.Load()) {
-			return
-		}
 	}
 	for i := 0; i < parkYield; i++ {
 		runtime.Gosched()
@@ -343,6 +366,11 @@ func (c *waitCell) waitCtx(ctx context.Context, want int64) error {
 		c.wait(want)
 		return nil
 	}
+	for i := c.spin; i > 0; i-- {
+		if c.v.Load() == want {
+			return nil
+		}
+	}
 	if !c.park {
 		for c.v.Load() != want {
 			select {
@@ -358,11 +386,6 @@ func (c *waitCell) waitCtx(ctx context.Context, want int64) error {
 			runtime.Gosched()
 		}
 		return nil
-	}
-	for i := 0; i < parkSpin; i++ {
-		if c.v.Load() == want {
-			return nil
-		}
 	}
 	for i := 0; i < parkYield; i++ {
 		runtime.Gosched()
@@ -385,6 +408,11 @@ func (c *waitCell) waitUntilCtx(ctx context.Context, pred func(int64) bool) erro
 		c.waitUntil(pred)
 		return nil
 	}
+	for i := c.spin; i > 0; i-- {
+		if pred(c.v.Load()) {
+			return nil
+		}
+	}
 	if !c.park {
 		for !pred(c.v.Load()) {
 			select {
@@ -398,11 +426,6 @@ func (c *waitCell) waitUntilCtx(ctx context.Context, pred func(int64) bool) erro
 			runtime.Gosched()
 		}
 		return nil
-	}
-	for i := 0; i < parkSpin; i++ {
-		if pred(c.v.Load()) {
-			return nil
-		}
 	}
 	for i := 0; i < parkYield; i++ {
 		runtime.Gosched()

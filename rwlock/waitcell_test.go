@@ -2,6 +2,7 @@ package rwlock
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +36,58 @@ func TestWaitCellStoreWake(t *testing.T) {
 				t.Fatalf("parked count %d after wake, want 0", c.parked.Load())
 			}
 		})
+	}
+}
+
+// TestWaitCellSpinGate: a cell's tight spin phase is fixed by
+// setStrategy from GOMAXPROCS — a SpinYield cell set up with one P has
+// none (its spin could only burn the quantum the signaller needs),
+// with two it has yieldSpin; SpinThenPark keeps parkSpin either way.
+// In every case a storeWake from another goroutine releases both the
+// plain and the ctx wait.
+func TestWaitCellSpinGate(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, tc := range []struct {
+		procs int
+		strat WaitStrategy
+		spin  int32
+	}{
+		{1, SpinYield, 0},
+		{2, SpinYield, yieldSpin},
+		{1, SpinThenPark, parkSpin},
+		{2, SpinThenPark, parkSpin},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		var c waitCell
+		c.setStrategy(tc.strat)
+		if c.spin != tc.spin {
+			t.Errorf("%s cell set up at GOMAXPROCS %d: spin %d, want %d", tc.strat, tc.procs, c.spin, tc.spin)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 2)
+		go func() {
+			c.wait(cellTrue)
+			done <- nil
+		}()
+		go func() { done <- c.waitCtx(ctx, cellTrue) }()
+		select {
+		case <-done:
+			t.Fatalf("%s at GOMAXPROCS %d: a wait returned before the store", tc.strat, tc.procs)
+		case <-time.After(10 * time.Millisecond):
+		}
+		c.storeWake(cellTrue)
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s at GOMAXPROCS %d: waitCtx = %v, want nil", tc.strat, tc.procs, err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s at GOMAXPROCS %d: waiter not woken by storeWake", tc.strat, tc.procs)
+			}
+		}
 	}
 }
 
