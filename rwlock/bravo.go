@@ -273,9 +273,10 @@ func (b *Bravo) Write(cs func()) {
 // holds the inner write lock, which excludes both the slow readers
 // that normally re-arm the bias and any other writer's revocation.
 // Requires the inner lock to implement TryRWLock (every lock in this
-// package does).
+// package does).  A shed after the inner grant counts as one try shed
+// and no write acquire (see stagedTryLocker).
 func (b *Bravo) TryLock() (WToken, bool) {
-	t, ok := b.inner.(TryRWLock).TryLock()
+	t, inSt, ok := innerTryLock(b.inner)
 	if !ok {
 		return WToken{}, false
 	}
@@ -294,7 +295,32 @@ func (b *Bravo) TryLock() (WToken, bool) {
 			st.Revocations.Add(1)
 		}
 	}
+	if inSt != nil {
+		inSt.WriteAcquires.Add(1)
+	}
 	return t, true
+}
+
+// stagedTryLocker is implemented by the multi-writer locks:
+// tryLockStaged is TryLock with the grant left uncounted.  It returns
+// the lock's stats block (nil when stats are off), where the caller
+// adds the WriteAcquires count once it keeps the lock.  The Bravo and
+// Epoch wrappers need it because their TryLock can still shed after
+// the inner grant, and that attempt must count as a shed alone.
+type stagedTryLocker interface {
+	tryLockStaged() (WToken, *LockStats, bool)
+}
+
+// innerTryLock is a wrapper's non-blocking inner write acquisition.
+// On a stagedTryLocker the grant is left for the caller to count in
+// the returned block; any other TryRWLock has counted it already, and
+// the block is nil.
+func innerTryLock(inner RWLock) (WToken, *LockStats, bool) {
+	if s, ok := inner.(stagedTryLocker); ok {
+		return s.tryLockStaged()
+	}
+	t, ok := inner.(TryRWLock).TryLock()
+	return t, nil, ok
 }
 
 // TryRLock attempts read mode without blocking: the ordinary BRAVO

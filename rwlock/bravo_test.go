@@ -1,6 +1,7 @@
 package rwlock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,4 +290,120 @@ func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 			}
 		})
 	}
+}
+
+// setProcs sets GOMAXPROCS for one test and restores it afterwards.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestReaderSlotsPerPRegion pins the claim placement: a table is cut
+// into one power-of-two region per P, and a claim takes the first
+// free slot of its P's region.  At GOMAXPROCS(1) the one region is
+// the whole table and every claim runs on P 0, so held claims fill
+// slots 0, 1, 2 in order, the probe bound then sheds the next claim,
+// and a released slot 0 is the next one taken.
+func TestReaderSlotsPerPRegion(t *testing.T) {
+	for _, g := range []struct{ procs, min, slots, region int }{
+		{1, 16, 16, 16}, {2, 0, 8, 4}, {3, 0, 16, 4}, {4, 64, 64, 16},
+	} {
+		setProcs(t, g.procs)
+		rs := newReaderTable(g.min, SpinYield)
+		if len(rs.slots) != g.slots || 1<<rs.regionShift != g.region {
+			t.Errorf("GOMAXPROCS(%d) min %d: %d slots, region %d; want %d, %d",
+				g.procs, g.min, len(rs.slots), 1<<rs.regionShift, g.slots, g.region)
+		}
+	}
+
+	setProcs(t, 1)
+	rs := newReaderTable(16, SpinYield)
+	id := rs.assignID()
+	for want := int64(0); want < slotProbes; want++ {
+		idx, ok := rs.tryClaim(id)
+		if !ok || idx != want {
+			t.Fatalf("claim %d: got slot %d (ok=%v), want slot %d", want+1, idx, ok, want)
+		}
+	}
+	if idx, ok := rs.tryClaim(id); ok {
+		t.Fatalf("claim %d succeeded on slot %d, want the probe bound to shed it", slotProbes+1, idx)
+	}
+	rs.release(0)
+	if idx, ok := rs.tryClaim(id); !ok || idx != 0 {
+		t.Fatalf("claim after releasing slot 0: got slot %d (ok=%v), want slot 0", idx, ok)
+	}
+}
+
+// TestSharedTableRegionExhausted holds fast-path reads on slotProbes
+// SlimBravo locks sharing one table, which fills the probe window of
+// the only P's region.  A read on a fourth lock must take the slow
+// path, and both kinds of reader must still hold off their lock's
+// writer: the slow one through the state word, the fast one through
+// the revocation drain.
+func TestSharedTableRegionExhausted(t *testing.T) {
+	setProcs(t, 1)
+	tbl := NewReaderTable(8)
+	var ls [slotProbes + 1]*SlimBravo
+	var toks [slotProbes]RToken
+	for i := range ls {
+		ls[i] = NewSlimBravo(WithSharedReaderTable(tbl))
+	}
+	for i := range toks {
+		if toks[i] = ls[i].RLock(); toks[i].side != slimFastSide {
+			t.Fatalf("lock %d: read took the slow path on a free region", i)
+		}
+	}
+	slow := ls[slotProbes].RLock()
+	if slow.side == slimFastSide {
+		t.Fatalf("lock %d: read claimed slot %d past the exhausted probe window", slotProbes, slow.id)
+	}
+	writerWaits := func(l *SlimBravo, rt RToken) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { l.Unlock(l.Lock()); close(done) }()
+		select {
+		case <-done:
+			t.Fatal("writer entered beside a reader")
+		case <-time.After(20 * time.Millisecond):
+		}
+		l.RUnlock(rt)
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("writer did not enter after the reader left")
+		}
+	}
+	writerWaits(ls[slotProbes], slow)
+	writerWaits(ls[0], toks[0])
+	for i := 1; i < slotProbes; i++ {
+		ls[i].RUnlock(toks[i])
+	}
+}
+
+// TestSharedTableProcsRaised builds a table at GOMAXPROCS(1) and uses
+// it at GOMAXPROCS(4), so the P indexes past the construction-time P
+// count wrap onto a region other Ps claim from.  Sharing a region is
+// only slower: exclusion must hold and no revocation drain may hang.
+func TestSharedTableProcsRaised(t *testing.T) {
+	setProcs(t, 1)
+	tbl := NewReaderTable(8)
+	setProcs(t, 4)
+	hung := time.AfterFunc(2*time.Minute, func() { panic("revocation drain hung on a wrapped region") })
+	t.Cleanup(func() { hung.Stop() })
+	locks := map[string]RWLock{
+		"SlimBravo":     NewSlimBravo(WithSharedReaderTable(tbl)),
+		"SlimEpoch":     NewSlimEpoch(WithSharedReaderTable(tbl)),
+		"Bravo/shared":  NewBravo(nil, WithSharedReaderTable(tbl)),
+		"SlimBravo/2nd": NewSlimBravo(WithSharedReaderTable(tbl)),
+	}
+	t.Run("group", func(t *testing.T) {
+		for name, l := range locks {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				for i := 0; i < 20; i++ {
+					exerciseRW(t, l)
+				}
+			})
+		}
+	})
 }

@@ -658,9 +658,11 @@ func (e *Epoch) Write(cs func()) {
 // makes the double advance safe, stamped-but-unentered readers back
 // out against EITHER value), releases the inner lock, and reports
 // busy, so a fast-path reader is never waited on.  Requires the inner
-// lock to implement TryRWLock (every multi-writer lock does).
+// lock to implement TryRWLock (every multi-writer lock does).  A
+// shed after the inner grant counts as one try shed and no write
+// acquire (see stagedTryLocker).
 func (e *Epoch) TryLock() (WToken, bool) {
-	t, ok := e.inner.(TryRWLock).TryLock()
+	t, inSt, ok := innerTryLock(e.inner)
 	if !ok {
 		return WToken{}, false
 	}
@@ -700,6 +702,9 @@ func (e *Epoch) TryLock() (WToken, bool) {
 	e.stats.GraceWaits++
 	if st := e.lstats; st != nil {
 		st.GraceWaits.Add(1)
+	}
+	if inSt != nil {
+		inSt.WriteAcquires.Add(1)
 	}
 	return t, true
 }

@@ -129,26 +129,33 @@ func (l *MWSF) CombinerStats() (CombinerStats, bool) {
 // that window is drained by the ordinary waiting room, so TryLock
 // never waits on a writer but can briefly wait out such a racer.
 func (l *MWSF) TryLock() (WToken, bool) {
+	t, st, ok := l.tryLockStaged()
+	if ok && st != nil {
+		st.WriteAcquires.Add(1)
+	}
+	return t, ok
+}
+
+// tryLockStaged is TryLock with the grant left uncounted (see
+// stagedTryLocker).
+func (l *MWSF) tryLockStaged() (WToken, *LockStats, bool) {
 	slot, ok := l.m.tryAcquire()
 	if !ok {
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
-		return WToken{}, false
+		return WToken{}, nil, false
 	}
 	if !l.core.readersIdle() {
 		l.m.release(slot)
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
-		return WToken{}, false
+		return WToken{}, nil, false
 	}
 	prev, cur := l.core.writerDoorway()
 	l.core.writerWaitingRoom(prev)
-	if st := l.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur, slot: slot}, true
+	return WToken{prev: prev, cur: cur, slot: slot}, l.stats, true
 }
 
 // TryRLock attempts read mode without blocking; a failed attempt
@@ -328,26 +335,33 @@ func (l *MWRP) CombinerStats() (CombinerStats, bool) {
 // registering between probe and commit is waited out through the
 // promotion handoff — the documented race window.
 func (l *MWRP) TryLock() (WToken, bool) {
+	t, st, ok := l.tryLockStaged()
+	if ok && st != nil {
+		st.WriteAcquires.Add(1)
+	}
+	return t, ok
+}
+
+// tryLockStaged is TryLock with the grant left uncounted (see
+// stagedTryLocker).
+func (l *MWRP) tryLockStaged() (WToken, *LockStats, bool) {
 	slot, ok := l.m.tryAcquire()
 	if !ok {
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
-		return WToken{}, false
+		return WToken{}, nil, false
 	}
 	if l.core.c.Load() != 0 {
 		l.m.release(slot)
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
-		return WToken{}, false
+		return WToken{}, nil, false
 	}
 	t := l.core.writerLock()
 	t.slot = slot
-	if st := l.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return t, true
+	return t, l.stats, true
 }
 
 // TryRLock attempts read mode without blocking; under reader priority
@@ -615,27 +629,34 @@ func (l *MWWP) enterHeld() (prev, cur int32) {
 // reopening the gate) in that window is drained by the ordinary
 // waiting room — the documented race window.
 func (l *MWWP) TryLock() (WToken, bool) {
+	t, st, ok := l.tryLockStaged()
+	if ok && st != nil {
+		st.WriteAcquires.Add(1)
+	}
+	return t, ok
+}
+
+// tryLockStaged is TryLock with the grant left uncounted (see
+// stagedTryLocker).
+func (l *MWWP) tryLockStaged() (WToken, *LockStats, bool) {
 	slot, ok := l.m.tryAcquire()
 	if !ok {
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
-		return WToken{}, false
+		return WToken{}, nil, false
 	}
 	if isSideToken(l.wtoken.Load()) && !l.core.readersIdle() {
 		l.m.release(slot)
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
-		return WToken{}, false
+		return WToken{}, nil, false
 	}
 	id := l.idCtr.Add(1)
 	l.doorway() // commit
 	prev, cur := l.enterHeld()
-	if st := l.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur, slot: slot, id: id}, true
+	return WToken{prev: prev, cur: cur, slot: slot, id: id}, l.stats, true
 }
 
 // TryRLock attempts read mode without blocking; a failed attempt

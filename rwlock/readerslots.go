@@ -2,7 +2,6 @@ package rwlock
 
 import (
 	"math/bits"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,12 +34,25 @@ import (
 // BRAVO trade-off, and in the shared deployment the scan cost is paid
 // to the PROCESS-wide arena size, not per lock (the reason the default
 // arena is kept modest; see DefaultReaderTable).
+//
+// Placement follows the BRAVO paper's hash of (thread, lock) only in
+// its thread half.  Go has no thread id, so the scheduler's P index
+// stands in for it: the table is cut into one region per P, and a
+// reader claims the first free slot of its own P's region.  Starting
+// at the region's first slot, rather than at a lock-hashed point
+// inside it, keeps one P's claims on that one slot (the next one or
+// two only while a read is already held on the P), whose line stays
+// in that core's cache, so the claim CAS and the release store are
+// local on the common path.  The P index is a placement hint, never a
+// correctness input: the claim CAS is the commitment, slots carry the
+// owner id, and a revocation scans every region.
 
 // slotProbes is how many adjacent table entries a reader tries to
 // claim before giving up and taking the slow path.  A small bound
-// keeps the fast path O(1) and bounds the probability of spurious
-// slow-path trips at reasonable load (the table has at least four
-// slots per P, so three probes fail only under heavy oversubscription).
+// keeps the fast path O(1).  The probes stay inside the calling P's
+// region (at least four slots), so they fail only when three fast-path
+// reads are already held from one P: nested reads, or readers
+// descheduled inside their critical sections.
 const slotProbes = 3
 
 // ReaderTable is a fixed-size power-of-two arena of reader-presence
@@ -56,9 +68,12 @@ const slotProbes = 3
 // never waits on another lock's readers — at worst it scans past
 // their slots.
 type ReaderTable struct {
-	mask  uint64
-	slots []waitCell
-	_     [32]byte
+	mask uint64
+	// regionShift is log2 of the slots per P region: P pid claims from
+	// slot pid<<regionShift onward (see tryClaim).
+	regionShift uint64
+	slots       []waitCell
+	_           [24]byte
 	// nextID hands out per-lock owner ids (contended only at lock
 	// construction; padded off the read-only header above so a
 	// construction burst does not invalidate the fast path's mask and
@@ -84,9 +99,13 @@ func NewReaderTable(min int, opts ...Option) *ReaderTable {
 
 // newReaderTable sizes the table to at least min entries and at least
 // four slots per P, rounded up to a power of two so claim probes can
-// wrap with a mask instead of a modulo.
+// wrap with a mask instead of a modulo.  The table is split into one
+// region per P (the P count rounded up to a power of two), so every
+// region is a power of two of at least four slots — more than
+// slotProbes, so a claim's probes never leave its region.
 func newReaderTable(min int, s WaitStrategy) *ReaderTable {
-	n := 4 * runtime.GOMAXPROCS(0)
+	procs := runtime.GOMAXPROCS(0)
+	n := 4 * procs
 	if n < min {
 		n = min
 	}
@@ -94,7 +113,12 @@ func newReaderTable(min int, s WaitStrategy) *ReaderTable {
 		n = 8
 	}
 	n = 1 << bits.Len(uint(n-1))
-	t := &ReaderTable{mask: uint64(n - 1), slots: make([]waitCell, n)}
+	regions := 1 << bits.Len(uint(procs-1))
+	t := &ReaderTable{
+		mask:        uint64(n - 1),
+		regionShift: uint64(bits.TrailingZeros(uint(n / regions))),
+		slots:       make([]waitCell, n),
+	}
 	for i := range t.slots {
 		t.slots[i].setStrategy(s)
 	}
@@ -140,19 +164,31 @@ func (t *ReaderTable) assignID() int64 {
 }
 
 // tryClaim publishes a reader of the lock that owns id into a free
-// slot and returns its index.  The starting probe point mixes the
-// runtime's per-M cheap random source (math/rand/v2's global
-// functions, a few nanoseconds and no shared state) with the owner id
-// — the BRAVO paper's hash of (thread, lock) — so different locks'
-// readers spread across a shared arena instead of piling onto one
-// run of slots.  (The claim CAS needs no wake: setting a slot busy
-// satisfies nobody's wait.)
+// slot and returns its index.  It probes the calling P's own region
+// from the region's first slot (see the file comment): the P index
+// stands in for the thread half of the BRAVO paper's (thread, lock)
+// hash, and the one goroutine running on a P almost always finds
+// that first slot free, so its claim CAS and release store hit a line
+// already in its own core's cache.  A random or lock-hashed start
+// would spread one P's claims over many lines, each likely dirtied
+// by another core since its last use.  The pin is dropped as soon as
+// the index is read, because the index is only a placement hint,
+// never a correctness input: a goroutine migrated after the read, or
+// a P index past the region count (GOMAXPROCS raised after
+// construction, wrapped through t.mask onto another P's region), only
+// shares lines.  The CAS is the commitment, and the owner-id tag,
+// drainFor and idleFor do not depend on where a claim lands.  (The
+// claim CAS needs no wake: setting a slot busy satisfies nobody's
+// wait.)
 func (t *ReaderTable) tryClaim(id int64) (int64, bool) {
-	h := rand.Uint64() + uint64(id)*0x9e3779b97f4a7c15
+	pid := uint64(procPin())
+	procUnpin()
+	base := pid << t.regionShift
 	for i := uint64(0); i < slotProbes; i++ {
-		s := &t.slots[(h+i)&t.mask]
+		idx := (base + i) & t.mask
+		s := &t.slots[idx]
 		if s.load() == 0 && s.cas(0, id) {
-			return int64((h + i) & t.mask), true
+			return int64(idx), true
 		}
 	}
 	return 0, false

@@ -2,6 +2,7 @@ package rwlock
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -257,13 +258,13 @@ func TestStatsChurn(t *testing.T) {
 	t.Run("bravo-mwsf", func(t *testing.T) {
 		t.Parallel()
 		st := &LockStats{}
-		churnStats(t, "bravo-mwsf", NewBravoMWSF(WithStats(st)), st, 2, false, nil)
+		churnStats(t, "bravo-mwsf", NewBravoMWSF(WithStats(st)), st, 2, true, nil)
 	})
 	t.Run("epoch-mwsf", func(t *testing.T) {
 		t.Parallel()
 		st := &LockStats{}
 		e := NewEpochMWSF(WithStats(st))
-		churnStats(t, "epoch-mwsf", e, st, 2, false, func() { e.Retire(make([]byte, 8), 8) })
+		churnStats(t, "epoch-mwsf", e, st, 2, true, func() { e.Retire(make([]byte, 8), 8) })
 	})
 }
 
@@ -332,6 +333,116 @@ func TestStatsCtxShedsPreCancelled(t *testing.T) {
 			s := st.Snapshot()
 			if s.WriteAcquires != 1 || s.ReadAcquires != 1 {
 				t.Errorf("write_acquires %d, read_acquires %d; want 1 and 1", s.WriteAcquires, s.ReadAcquires)
+			}
+			if err := s.CheckCoherence(); err != nil {
+				t.Errorf("CheckCoherence: %v", err)
+			}
+		})
+	}
+}
+
+// TestStatsTryShedsExact pins the Try entry points' shed count: on
+// every seam lock, a TryLock under a held read lock and a TryLock and
+// a TryRLock under a held write lock must each fail and add exactly
+// one to TrySheds, and none of them may count as an acquire.
+func TestStatsTryShedsExact(t *testing.T) {
+	for name := range seamLocks() {
+		t.Run(name, func(t *testing.T) {
+			st := &LockStats{}
+			l := seamLocks(WithStats(st))[name]
+			var sheds uint64
+			check := func(op string, ok bool) {
+				t.Helper()
+				if ok {
+					t.Fatalf("%s succeeded, want a failure", op)
+				}
+				sheds++
+				if got := st.Snapshot().TrySheds; got != sheds {
+					t.Errorf("after %s: try_sheds = %d, want %d", op, got, sheds)
+				}
+			}
+			// The reader goes first, while a Bravo lock is still
+			// read-biased: its TryLock then takes the inner lock before
+			// the revocation finds the reader and sheds.
+			rt := l.RLock()
+			_, ok := l.TryLock()
+			check("TryLock under a reader", ok)
+			l.RUnlock(rt)
+			wt := l.Lock()
+			_, ok = l.TryLock()
+			check("TryLock under a writer", ok)
+			_, ok = l.TryRLock()
+			check("TryRLock under a writer", ok)
+			l.Unlock(wt)
+			s := st.Snapshot()
+			if s.WriteAcquires != 1 || s.ReadAcquires != 1 || s.CtxSheds != 0 {
+				t.Errorf("write_acquires %d, read_acquires %d, ctx_sheds %d; want 1, 1, 0", s.WriteAcquires, s.ReadAcquires, s.CtxSheds)
+			}
+			if err := s.CheckCoherence(); err != nil {
+				t.Errorf("CheckCoherence: %v", err)
+			}
+		})
+	}
+}
+
+// TestStatsCtxShedsMidWait is TestStatsCtxShedsPreCancelled with the
+// context cancelled while the caller waits: an RLockCtx, and a
+// LockCtx where the writer's wait is abortable, blocked behind a held
+// write lock must each add exactly one to CtxSheds.
+func TestStatsCtxShedsMidWait(t *testing.T) {
+	for name := range seamLocks() {
+		t.Run(name, func(t *testing.T) {
+			st := &LockStats{}
+			l := seamLocks(WithStats(st))[name]
+			// The LockCtx case needs a writer that can abort while it
+			// waits: SWWP and SWRP admit one writer at a time, and a
+			// bounded lock's writer is committed once it takes its
+			// Anderson ticket (see AndersonLock.AcquireCtx).
+			_, singleWriter := singleWriterLocks()[name]
+			abortableWriter := !singleWriter && !strings.HasSuffix(name, "/bounded")
+			var sheds uint64
+			blocked := func(op string, acquire func(context.Context) error) {
+				t.Helper()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				done := make(chan error, 1)
+				go func() { done <- acquire(ctx) }()
+				select {
+				case err := <-done:
+					t.Fatalf("%s behind a writer returned %v before its cancel", op, err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				cancel()
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Fatalf("%s behind a writer succeeded after its cancel", op)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s did not return after its context was cancelled", op)
+				}
+				sheds++
+				if got := st.Snapshot().CtxSheds; got != sheds {
+					t.Errorf("after %s: ctx_sheds = %d, want %d", op, got, sheds)
+				}
+			}
+			wt := l.Lock()
+			blocked("RLockCtx", func(ctx context.Context) error {
+				_, err := l.RLockCtx(ctx)
+				return err
+			})
+			if abortableWriter {
+				blocked("LockCtx", func(ctx context.Context) error {
+					_, err := l.LockCtx(ctx)
+					return err
+				})
+			}
+			l.Unlock(wt)
+			l.RUnlock(l.RLock())
+			l.Unlock(l.Lock())
+			s := st.Snapshot()
+			if s.WriteAcquires != 2 || s.ReadAcquires != 1 || s.TrySheds != 0 {
+				t.Errorf("write_acquires %d, read_acquires %d, try_sheds %d; want 2, 1, 0", s.WriteAcquires, s.ReadAcquires, s.TrySheds)
 			}
 			if err := s.CheckCoherence(); err != nil {
 				t.Errorf("CheckCoherence: %v", err)

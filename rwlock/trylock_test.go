@@ -202,50 +202,61 @@ func TestTryLockAllocFree(t *testing.T) {
 // TestTryLockHammer races probes against blocking acquirers on every
 // lock: successful TryLocks mutate plain data (-race proves they are
 // really exclusive), successful TryRLocks read it, and the final
-// count proves probe passages are neither lost nor duplicated.
+// count proves probe passages are neither lost nor duplicated.  SWWP
+// and SWRP admit one write attempt at a time (a second one panics by
+// contract), so on them one goroutine makes both the blocking and the
+// probing write passages, and only the read probes race them.
 func TestTryLockHammer(t *testing.T) {
 	for _, strat := range strategies() {
 		opt := WithWaitStrategy(strat)
 		for name, l := range tryLocks(opt) {
 			l := l
+			_, singleWriter := singleWriterLocks()[name]
 			t.Run(name+"/"+strat.String(), func(t *testing.T) {
 				t.Parallel()
 				var data int64 // plain, guarded only by l
 				var writes atomic.Int64
 				var wg sync.WaitGroup
 				const lap = 300
+				lock := func() {
+					tok := l.Lock()
+					data++
+					writes.Add(1)
+					l.Unlock(tok)
+				}
+				tryLock := func() {
+					if tok, ok := l.TryLock(); ok {
+						data++
+						writes.Add(1)
+						l.Unlock(tok)
+					}
+				}
+				tryRLock := func() {
+					if tok, ok := l.TryRLock(); ok {
+						_ = data
+						l.RUnlock(tok)
+					}
+				}
+				laps := func(ops ...func()) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := 0; k < lap; k++ {
+							for _, op := range ops {
+								op()
+							}
+						}
+					}()
+				}
 				for i := 0; i < 2; i++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for k := 0; k < lap; k++ {
-							tok := l.Lock()
-							data++
-							writes.Add(1)
-							l.Unlock(tok)
-						}
-					}()
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for k := 0; k < lap; k++ {
-							if tok, ok := l.TryLock(); ok {
-								data++
-								writes.Add(1)
-								l.Unlock(tok)
-							}
-						}
-					}()
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for k := 0; k < lap; k++ {
-							if tok, ok := l.TryRLock(); ok {
-								_ = data
-								l.RUnlock(tok)
-							}
-						}
-					}()
+					switch {
+					case !singleWriter:
+						laps(lock)
+						laps(tryLock)
+					case i == 0:
+						laps(lock, tryLock)
+					}
+					laps(tryRLock)
 				}
 				wg.Wait()
 				if data != writes.Load() {

@@ -179,6 +179,52 @@ func (s *stripe[K, V]) apply(k K, f func(v V, ok bool) (V, bool)) {
 	}
 }
 
+// The helpers below run user code under a stripe lock on the token
+// path.  Each releases the lock with a defer, so a panicking callback
+// unwinds through the release instead of leaving the stripe locked
+// for every later caller.  The defers are open-coded, so a call that
+// does not panic pays for the helper call and no defer record.
+
+// update is apply under s's write lock.
+func (s *stripe[K, V]) update(k K, f func(v V, ok bool) (V, bool)) {
+	sl, t := s.wlock()
+	defer sl.lock.Unlock(t)
+	s.apply(k, f)
+}
+
+// read runs f on k's entry under s's read lock.
+func (s *stripe[K, V]) read(k K, f func(v V, ok bool)) {
+	sl, t := s.rlock()
+	defer sl.lock.RUnlock(t)
+	v, ok := s.m[k]
+	f(v, ok)
+}
+
+// fill is GetOrCompute's write half: under s's write lock, it
+// re-checks k and runs fill only if k is still missing.
+func (s *stripe[K, V]) fill(k K, fill func() V) (v V, loaded bool) {
+	sl, t := s.wlock()
+	defer sl.lock.Unlock(t)
+	if v, loaded = s.m[k]; !loaded {
+		v = fill()
+		s.m[k] = v
+	}
+	return v, loaded
+}
+
+// walk calls f for every entry of s under its read lock and reports
+// whether f asked to go on.
+func (s *stripe[K, V]) walk(f func(k K, v V) bool) bool {
+	sl, t := s.rlock()
+	defer sl.lock.RUnlock(t)
+	for k, v := range s.m {
+		if !f(k, v) {
+			return false
+		}
+	}
+	return true
+}
+
 // Map is a striped concurrent map.  See the package comment for the
 // consistency contract.
 type Map[K comparable, V any] struct {
@@ -282,14 +328,11 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 // Read runs f under k's stripe read lock with the stored value (and
 // whether it was present).  Unlike Get it lets the caller inspect a
 // pointer-valued V in place with the guarantee no Update is mutating
-// it concurrently.  f must not call back into the same Map.
+// it concurrently.  f must not call back into the same Map.  If f
+// panics, the stripe is released before the panic propagates.
 func (m *Map[K, V]) Read(k K, f func(v V, ok bool)) {
 	i := m.indexOf(k)
-	s := &m.stripes[i]
-	sl, t := s.rlock()
-	v, ok := s.m[k]
-	f(v, ok)
-	sl.lock.RUnlock(t)
+	m.stripes[i].read(k, f)
 	if m.ad != nil {
 		m.sample(i)
 	}
@@ -336,16 +379,16 @@ func (m *Map[K, V]) Delete(k K) {
 // stripe's write critical section — on a flat-combining stripe lock,
 // possibly on the combiner's goroutine, batched with other stripe
 // writes — so it must be short, must not block, and must not call
-// back into the Map.
+// back into the Map.  If f panics the entry is left unchanged and,
+// except on a flat-combining stripe lock, the stripe is released
+// before the panic propagates.
 func (m *Map[K, V]) Update(k K, f func(v V, ok bool) (V, bool)) {
 	i := m.indexOf(k)
 	s := &m.stripes[i]
 	if sl := s.cur.Load(); sl.fw != nil {
 		sl.fw.Write(func() { s.apply(k, f) })
 	} else {
-		sl, t := s.wlock()
-		s.apply(k, f)
-		sl.lock.Unlock(t)
+		s.update(k, f)
 	}
 	if m.ad != nil {
 		m.sample(i)
@@ -363,6 +406,8 @@ func (m *Map[K, V]) Update(k K, f func(v V, ok bool) (V, bool)) {
 // arbitrary one).  loaded reports whether the value was already
 // present.  fill runs inside the stripe's write critical section: it
 // must be short, must not block, and must not call back into the Map.
+// If fill panics, nothing is stored, the stripe is released and the
+// panic propagates; a waiting caller for k then runs its own fill.
 func (m *Map[K, V]) GetOrCompute(k K, fill func() V) (v V, loaded bool) {
 	i := m.indexOf(k)
 	s := &m.stripes[i]
@@ -370,12 +415,7 @@ func (m *Map[K, V]) GetOrCompute(k K, fill func() V) (v V, loaded bool) {
 	v, loaded = s.m[k]
 	sl.lock.RUnlock(t)
 	if !loaded {
-		wl, wt := s.wlock()
-		if v, loaded = s.m[k]; !loaded {
-			v = fill()
-			s.m[k] = v
-		}
-		wl.lock.Unlock(wt)
+		v, loaded = s.fill(k, fill)
 	}
 	if m.ad != nil {
 		m.sample(i)
@@ -400,17 +440,12 @@ func (m *Map[K, V]) Len() int {
 // is walked under its read lock; the walk holds at most one stripe
 // lock at a time (see the package comment for the cross-stripe
 // consistency contract).  f must not mutate the Map — the stripe it
-// would write is read-locked by its own caller.
+// would write is read-locked by its own caller.  If f panics, the
+// stripe it was walking is released before the panic propagates.
 func (m *Map[K, V]) Range(f func(k K, v V) bool) {
 	for i := range m.stripes {
-		s := &m.stripes[i]
-		sl, t := s.rlock()
-		for k, v := range s.m {
-			if !f(k, v) {
-				sl.lock.RUnlock(t)
-				return
-			}
+		if !m.stripes[i].walk(f) {
+			return
 		}
-		sl.lock.RUnlock(t)
 	}
 }

@@ -3,6 +3,7 @@ package rwmap
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"rwsync/rwlock"
 )
@@ -251,5 +252,57 @@ func TestMillionStripes(t *testing.T) {
 	}
 	if n := m.Len(); n != 4096 {
 		t.Fatalf("Len = %d, want 4096", n)
+	}
+}
+
+// TestCallbackPanicReleasesStripe: a user callback that panics inside
+// a stripe critical section must not leave the stripe locked, under
+// every lock factory.  Each case recovers the panic, then requires a
+// Put on the same key (a write acquisition of the same stripe) to
+// finish.  Update on a flat-combining lock runs f on the combiner's
+// closure path, which this does not cover.
+func TestCallbackPanicReleasesStripe(t *testing.T) {
+	cases := map[string]func(m *Map[int, int]){
+		"Update": func(m *Map[int, int]) {
+			m.Update(1, func(int, bool) (int, bool) { panic("update") })
+		},
+		"GetOrCompute": func(m *Map[int, int]) {
+			m.GetOrCompute(1, func() int { panic("fill") })
+		},
+		"Read": func(m *Map[int, int]) {
+			m.Read(1, func(int, bool) { panic("read") })
+		},
+		"Range": func(m *Map[int, int]) {
+			m.Range(func(int, int) bool { panic("range") })
+		},
+	}
+	for lockName, opt := range mapFactories() {
+		for op, call := range cases {
+			if op == "Update" && lockName == "MWSF-combine" {
+				continue
+			}
+			t.Run(lockName+"/"+op, func(t *testing.T) {
+				m := New[int, int](WithStripes(1), opt)
+				m.Put(0, 0) // gives Range an entry to panic on
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("the %s callback's panic did not propagate", op)
+						}
+					}()
+					call(m)
+				}()
+				done := make(chan struct{})
+				go func() { m.Put(1, 7); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("Put after a panicking %s callback did not finish: the stripe stayed locked", op)
+				}
+				if v, ok := m.Get(1); !ok || v != 7 {
+					t.Fatalf("Get(1) = %d,%v after the Put, want 7,true", v, ok)
+				}
+			})
+		}
 	}
 }
