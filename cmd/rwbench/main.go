@@ -7,7 +7,7 @@
 //
 //	rwbench [-ops N] [-seed S] [-workers list] [-locks list]
 //	        [-scenario names|all] [-stripes list] [-skew list]
-//	        [-hotset list] [-metrics] [-markdown] [-json] [-quick]
+//	        [-metrics] [-markdown] [-json] [-quick]
 //	        [-oversub] [-oversub-workers list] [-oversub-duration d]
 //	        [-validate file]
 //
@@ -44,13 +44,6 @@
 // that sweep a stripe axis and are rejected — with the sorted list of
 // sharded scenario names — when the selection contains none.
 //
-// -hotset overrides the hot-set-budget axis of the adaptive scenarios
-// the same way, e.g. `-scenario adaptive-grid -hotset 0,512` (0 runs
-// the stripe grid with adaptive promotion off — the all-Slim
-// baseline).  It applies only to scenarios that sweep a hot-set axis
-// and is rejected — with the sorted list of adaptive scenario names —
-// when the selection contains none.
-//
 // Unknown -locks or -scenario names are rejected with the list of
 // valid names, and so is a selection that parses to nothing (e.g.
 // `-locks ","` or `-stripes ","`): a sweep that silently ran an empty
@@ -69,7 +62,7 @@
 // fresh rwlock.WithStats counter block (the observability seam the
 // rwstats exporters serve) and folds its quiescent snapshot into the
 // point as a "counters" object — an additive schema_version 2 column,
-// like the sharded and adaptive fields before it.  The harness
+// like the sharded fields before it.  The harness
 // cross-checks each block before reporting it (CheckCoherence plus
 // the one-passage-per-op tie), and -validate re-asserts the same
 // invariants on the serialized record, requiring counters exactly on
@@ -182,7 +175,6 @@ func run(args []string, out io.Writer) error {
 	oversubProcs := fs.Int("oversub-gomaxprocs", 2, "GOMAXPROCS pinned for the -oversub sweep (0 = leave unpinned)")
 	stripesFlag := fs.String("stripes", "", "comma-separated stripe counts for sharded scenarios (e.g. 1000,1000000)")
 	skewFlag := fs.String("skew", "", "comma-separated Zipf exponents for sharded scenarios (e.g. 0,1.07)")
-	hotsetFlag := fs.String("hotset", "", "comma-separated hot-set budgets for adaptive scenarios (0 = adaptive off, e.g. 0,64,512)")
 	metrics := fs.Bool("metrics", false, "instrument every scenario cell with a rwlock.WithStats counter block and fold the snapshots into the points (requires -scenario)")
 	validate := fs.String("validate", "", "validate a -json report file against the schema and exit")
 	if err := fs.Parse(args); err != nil {
@@ -243,15 +235,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-skew %q selects no Zipf exponents", *skewFlag)
 		}
 	}
-	var hotSets []int
-	if *hotsetFlag != "" {
-		if hotSets, err = parseIntList(*hotsetFlag); err != nil {
-			return err
-		}
-		if len(hotSets) == 0 {
-			return fmt.Errorf("-hotset %q selects no hot-set budgets", *hotsetFlag)
-		}
-	}
 
 	emit := func(t interface {
 		Render() string
@@ -282,7 +265,6 @@ func run(args []string, out io.Writer) error {
 			Workers: workers,
 			Stripes: stripes,
 			ZipfS:   skews,
-			HotSets: hotSets,
 			Metrics: *metrics,
 		}
 		fs.Visit(func(f *flag.Flag) {
@@ -308,7 +290,7 @@ func run(args []string, out io.Writer) error {
 		// override that applies to NONE of the selected scenarios
 		// (e.g. -locks on a simulator sweep, -ops on a deadline-based
 		// one) must not be silently dropped.
-		anyNative, anyOpsBased, anySharded, anyAdaptive := false, false, false, false
+		anyNative, anyOpsBased, anySharded := false, false, false
 		for _, sc := range scs {
 			if sc.Sim == nil {
 				anyNative = true
@@ -318,9 +300,6 @@ func run(args []string, out io.Writer) error {
 			}
 			if len(sc.Stripes) > 0 {
 				anySharded = true
-			}
-			if len(sc.HotSets) > 0 {
-				anyAdaptive = true
 			}
 		}
 		if len(opts.Locks) > 0 && !anyNative {
@@ -332,10 +311,6 @@ func run(args []string, out io.Writer) error {
 		if (len(stripes) > 0 || len(skews) > 0) && !anySharded {
 			return fmt.Errorf("-stripes/-skew apply to no selected scenario (sharded scenarios: %v)",
 				harness.ShardedScenarioNames())
-		}
-		if len(hotSets) > 0 && !anyAdaptive {
-			return fmt.Errorf("-hotset applies to no selected scenario (adaptive scenarios: %v)",
-				harness.AdaptiveScenarioNames())
 		}
 		if *metrics && !anyNative {
 			return fmt.Errorf("-metrics applies to no selected scenario (simulator scenarios have no native locks to instrument)")
@@ -366,10 +341,6 @@ func run(args []string, out io.Writer) error {
 	if len(stripes) > 0 || len(skews) > 0 {
 		return fmt.Errorf("-stripes/-skew require a sharded -scenario selection (sharded scenarios: %v)",
 			harness.ShardedScenarioNames())
-	}
-	if len(hotSets) > 0 {
-		return fmt.Errorf("-hotset requires an adaptive -scenario selection (adaptive scenarios: %v)",
-			harness.AdaptiveScenarioNames())
 	}
 	if *metrics {
 		return fmt.Errorf("-metrics requires a -scenario selection (the classic pair reports through the legacy tables)")

@@ -21,16 +21,15 @@ import (
 //	/metrics       the same counters in Prometheus text format
 //	/debug/vars    expvar, with the registry published as "rwsync"
 //
-// Background traffic keeps the counters moving: skewed reads over the
-// striped store (so the adaptive heatmap has something to show) and
-// an administrative config writer on a stats-enabled MWWP — the
+// Background traffic keeps the counters moving: skewed reads and a
+// trickle of writes over the striped store (so the heatmap's per-stripe
+// entry counts fill in) and an administrative config writer on a stats-enabled MWWP — the
 // writer-priority lock the example's batch mode measures.  A stall
 // watchdog with a 1s threshold logs any wedged writer and bumps the
 // stalls counter the endpoints serve.
 func serve(addr string) {
-	// The serving store: adaptive stripes so the heatmap shows hot-set
-	// promotion under the skewed read traffic.
-	store := rwmap.New[string, string](rwmap.WithStripes(64), rwmap.WithHotSet(4))
+	// The serving store: 64 stripes on the default SlimBravo locks.
+	store := rwmap.New[string, string](rwmap.WithStripes(64))
 
 	// The administrative config lock: writer-priority, instrumented.
 	cfgStats := &rwlock.LockStats{}

@@ -165,7 +165,7 @@ func NativeLocks() map[string]func() rwlock.RWLock { return NativeLocksWith() }
 // rows sit outside the stats seam by design and silently ignore a
 // WithStats extra: the Slim locks (a per-instance stats pointer would
 // double the 16-byte footprint — observe a Slim grid through
-// rwmap.Map.Stats instead), the classical baselines (they model the
+// rwmap.Map.Heatmap instead), the classical baselines (they model the
 // literature's algorithms, not this package's layers), and
 // sync.RWMutex (no constructor options at all).  Their instrumented
 // cells report an all-zero counter block.

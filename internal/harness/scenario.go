@@ -122,12 +122,6 @@ type Scenario struct {
 	// MixedOps makes every 16th sharded op heavy (8x CSWork inside
 	// the critical section — see workload.ShardedConfig.MixedOps).
 	MixedOps bool `json:"mixed_ops,omitempty"`
-	// HotSets, when non-empty, adds the adaptive-promotion axis to a
-	// sharded scenario: each entry is a hot-set budget passed to
-	// rwmap.WithAdaptiveLocks (0 = adaptive off, the all-Slim
-	// baseline).  Budgets above 0 require Slim lock rows — the
-	// adaptive Map owns both ends of the promote/demote swap.
-	HotSets []int `json:"hot_sets,omitempty"`
 
 	// Sim switches the scenario to the simulator side: RMR accounting
 	// instead of wall-clock workloads.
@@ -143,14 +137,12 @@ type ScenarioOptions struct {
 	Locks   []string
 	Workers []int
 	Ops     int
-	// Stripes/ZipfS/HotSets override a sharded scenario's grid-size,
-	// skew and hot-set-budget axes.  They apply only to scenarios that
-	// already sweep those axes (the serving-tier family); the CLI
-	// rejects them otherwise, the same loud-rejection rule as -locks
-	// on a simulator sweep.
+	// Stripes/ZipfS override a sharded scenario's grid-size and skew
+	// axes.  They apply only to scenarios that already sweep those
+	// axes (the serving-tier family); the CLI rejects them otherwise,
+	// the same loud-rejection rule as -locks on a simulator sweep.
 	Stripes []int
 	ZipfS   []float64
-	HotSets []int
 	// Metrics instruments every native and sharded cell with a fresh
 	// rwlock.WithStats counter block (one per cell; a sharded cell's
 	// stripes share it, so the block aggregates the grid) and folds the
@@ -190,18 +182,6 @@ type ScenarioPoint struct {
 	ZipfS        float64 `json:"zipf_s,omitempty"`
 	BytesPerLock float64 `json:"bytes_per_lock,omitempty"`
 	HotReadOps   int64   `json:"hot_read_ops,omitempty"`
-	// The adaptive-promotion fields (additive): present exactly when
-	// the point ran with a hot-set budget (HotSetBudget > 0).
-	// Promotions/Demotions count Slim→full and full→Slim swaps,
-	// HotSetMax is the promoted-set high-water mark (≤ the budget by
-	// construction), and BytesPerLockHigh is the grid's bytes/lock at
-	// that high water: the cold build's marginal bytes plus the
-	// promoted wrappers' amortized over every stripe.
-	HotSetBudget     int     `json:"hot_set_budget,omitempty"`
-	Promotions       int64   `json:"promotions,omitempty"`
-	Demotions        int64   `json:"demotions,omitempty"`
-	HotSetMax        int     `json:"hot_set_max,omitempty"`
-	BytesPerLockHigh float64 `json:"bytes_per_lock_high,omitempty"`
 
 	ReadWait   *stats.HistSnapshot `json:"read_wait_ns,omitempty"`
 	ReadHold   *stats.HistSnapshot `json:"read_hold_ns,omitempty"`
@@ -565,33 +545,6 @@ func init() {
 		Yield:         true,
 	})
 	RegisterScenario(Scenario{
-		Name:  "adaptive-grid",
-		Title: "serving tier: adaptive hot-stripe promotion under Zipfian skew",
-		Description: "the zipf-grid's Slim builds with contention-driven lock " +
-			"heterogeneity swept across hot-set budgets (0 = adaptive off, the " +
-			"all-Slim baseline): every stripe starts on a 16-byte Slim lock, a " +
-			"sampled traffic counter promotes the observed hot set to full " +
-			"Bravo/Epoch wrappers on the shared arena and demotes them when " +
-			"they cool.  The products are the promotion/demotion counts, the " +
-			"hot-set high-water mark against its budget, hot-key read " +
-			"throughput against the all-Slim row, and bytes/lock at high " +
-			"water — the memory-vs-hot-throughput frontier the budget walks",
-		Locks:         []string{"SlimBravo", "SlimEpoch"},
-		Workers:       []int{8},
-		ReadFractions: []float64{0.9},
-		Stripes:       []int{1 << 10, 1 << 20},
-		ZipfS:         []float64{1.07, 1.5},
-		HotSets:       []int{0, 64, 512},
-		Keys:          16384,
-		OpsPerWorker:  10000,
-		CSWork:        64,
-		ThinkWork:     4,
-		SampleEvery:   8,
-		MeasureAge:    true,
-		MixedOps:      true,
-		Yield:         true,
-	})
-	RegisterScenario(Scenario{
 		Name:  "latency-grid",
 		Title: "latency grid: per-op latency distributions across read ratios",
 		Description: "full wait/hold latency histograms per class across the " +
@@ -664,11 +617,6 @@ func quickTrim(sc Scenario) Scenario {
 		if len(sc.ZipfS) > 1 {
 			sc.ZipfS = sc.ZipfS[:1]
 		}
-		if len(sc.HotSets) > 2 {
-			// Keep the baseline and one budget: the smoke shape check
-			// needs both an adaptive and a non-adaptive row.
-			sc.HotSets = sc.HotSets[:2]
-		}
 	}
 	return sc
 }
@@ -704,9 +652,6 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 		}
 		if len(opts.ZipfS) > 0 {
 			sc.ZipfS = opts.ZipfS
-		}
-		if len(opts.HotSets) > 0 && len(sc.HotSets) > 0 {
-			sc.HotSets = opts.HotSets
 		}
 	}
 	if opts.Quick {
@@ -746,9 +691,9 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 // each deadline-shed write exactly one context shed — the acquire and
 // shed counters must equal the op counts.  An all-silent block (a
 // Slim, baseline or sync.RWMutex row, which sit outside the stats
-// seam — see NativeLocksWith — or an adaptive cell, where the Map owns
-// the stripe locks) is reported as-is: absent instrumentation is a
-// documented property of the row, not a measurement error.
+// seam — see NativeLocksWith) is reported as-is: absent
+// instrumentation is a documented property of the row, not a
+// measurement error.
 func checkCellCounters(s *rwlock.LockStatsSnapshot, scenario, lock string, readOps, writeOps, shedOps int64) error {
 	if err := s.CheckCoherence(); err != nil {
 		return fmt.Errorf("scenario %s lock %s: counter block incoherent: %w", scenario, lock, err)
@@ -1053,14 +998,6 @@ func ScenarioTable(res *ScenarioResult) *stats.Table {
 		// grid pays per stripe, hot rd/s is the skew made visible.
 		headers = append(headers, "stripes", "zipf s", "B/lock")
 	}
-	adaptive := len(res.Scenario.HotSets) > 0
-	if adaptive {
-		// The adaptive axis: the budget identifies the cell (0 = the
-		// all-Slim baseline), promo/demo and hot max tell how the
-		// maintainer spent it, B/lk hi is the footprint at the
-		// promotion high-water mark.
-		headers = append(headers, "hotset", "promo", "demo", "hot max", "B/lk hi")
-	}
 	headers = append(headers, "ops/s")
 	if sharded {
 		headers = append(headers, "hot rd/s")
@@ -1106,21 +1043,6 @@ func ScenarioTable(res *ScenarioResult) *stats.Table {
 				fmt.Sprintf("%d", p.Stripes),
 				fmt.Sprintf("%.4g", p.ZipfS),
 				fmt.Sprintf("%.0f", p.BytesPerLock))
-		}
-		if adaptive {
-			// Budget-0 rows are the all-Slim baseline: zero counters and
-			// the plain B/lock as the high water, so every row stays
-			// numeric for downstream shape checks.
-			high := p.BytesPerLockHigh
-			if p.HotSetBudget == 0 {
-				high = p.BytesPerLock
-			}
-			row = append(row,
-				fmt.Sprintf("%d", p.HotSetBudget),
-				fmt.Sprintf("%d", p.Promotions),
-				fmt.Sprintf("%d", p.Demotions),
-				fmt.Sprintf("%d", p.HotSetMax),
-				fmt.Sprintf("%.1f", high))
 		}
 		row = append(row, fmt.Sprintf("%.0f", p.OpsPerSec))
 		if sharded {

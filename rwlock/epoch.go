@@ -263,26 +263,9 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 	return newEpochOn(inner, o.sharedTable, o.strategy, reclaimEvery, o.stats)
 }
 
-// NewEpochShared is the promotion-path constructor: Epoch(inner) in
-// the shared-arena deployment over tbl (nil selects
-// DefaultReaderTable), equivalent to
-// NewEpoch(inner, WithSharedReaderTable(tbl)) but with no variadic
-// options to resolve — see NewBravoShared for why on-demand wrapper
-// builders care.  A nil inner uses a fresh default MWSF; the inner
-// lock must still be one of the multi-writer builds.
-func NewEpochShared(tbl *ReaderTable, inner RWLock) *Epoch {
-	if tbl == nil {
-		tbl = DefaultReaderTable()
-	}
-	if inner == nil {
-		inner = NewMWSF()
-	}
-	return newEpochOn(inner, tbl, SpinYield, 1, nil)
-}
-
-// newEpochOn is the resolved-form core shared by NewEpoch and
-// NewEpochShared: every input is already a concrete value, so nothing
-// here forces an options struct to escape.
+// newEpochOn is NewEpoch's resolved-form core: every input is already
+// a concrete value, so the slot pool's constructor below captures no
+// options struct and nothing forces one to escape.
 func newEpochOn(inner RWLock, shared *ReaderTable, strategy WaitStrategy, reclaimEvery int64, st *LockStats) *Epoch {
 	var m writerMutex
 	switch l := inner.(type) {

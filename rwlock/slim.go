@@ -55,9 +55,8 @@ import (
 // Observability: the Slim locks do NOT implement the WithStats seam —
 // they take no options, and a per-instance stats pointer would double
 // the 16-byte footprint the whole design exists to protect.  Observe
-// a Slim grid one level up, through rwmap.Map.Stats and its
-// per-stripe heatmap, which samples traffic without touching the
-// locks.
+// a Slim grid one level up, through rwmap.Map.Heatmap, which reads
+// per-stripe entry counts without instrumenting the locks.
 
 // slimFastSide tags an RToken issued by a Slim lock's arena fast
 // path: -1 is Bravo's, -2 is Epoch's, so -3 is unambiguous.

@@ -7,61 +7,8 @@ import (
 	"rwsync/rwlock"
 )
 
-// TestHeatmapAdaptive drives single-threaded exact-sampled traffic at
-// one key and checks the heatmap ranks its stripe first, reports the
-// promoted lock kind, and carries coherent sampled counts.
-func TestHeatmapAdaptive(t *testing.T) {
-	m := New[string, int](
-		WithStripes(16),
-		WithAdaptiveLocks(AdaptiveConfig{HotSet: 2, SampleEvery: 1, PromoteAt: 8}),
-	)
-	for i := 0; i < 64; i++ {
-		m.Put("hot", i)
-	}
-	st := m.Stats()
-	if st.HotSetSize != 1 {
-		t.Fatalf("HotSetSize = %d after a hot-key burst, want 1", st.HotSetSize)
-	}
-	hotStripe := st.Hot[0]
-
-	h := m.Heatmap(4)
-	if !h.Adaptive {
-		t.Fatal("Adaptive = false on an adaptive Map")
-	}
-	if h.Stripes != 16 {
-		t.Fatalf("Stripes = %d, want 16", h.Stripes)
-	}
-	if len(h.Top) != 4 {
-		t.Fatalf("len(Top) = %d, want 4", len(h.Top))
-	}
-	top := h.Top[0]
-	if top.Index != hotStripe {
-		t.Errorf("hottest stripe %d, want promoted stripe %d", top.Index, hotStripe)
-	}
-	if !top.Hot {
-		t.Error("hottest stripe not marked Hot")
-	}
-	if top.LockKind != "Bravo" {
-		t.Errorf("hottest LockKind = %q, want Bravo (promoted)", top.LockKind)
-	}
-	if top.SampledHits == 0 {
-		t.Error("hottest stripe has zero sampled hits")
-	}
-	if top.Entries != 1 {
-		t.Errorf("hottest stripe Entries = %d, want 1", top.Entries)
-	}
-	for _, sh := range h.Top[1:] {
-		if sh.Hot {
-			t.Errorf("stripe %d marked Hot; only %d promoted", sh.Index, hotStripe)
-		}
-		if sh.LockKind != "SlimBravo" {
-			t.Errorf("cold stripe %d LockKind = %q, want SlimBravo", sh.Index, sh.LockKind)
-		}
-	}
-}
-
-// TestHeatmapNonAdaptive checks the entry-count ranking fallback and
-// the kind naming for a WithLockFactory grid.
+// TestHeatmapNonAdaptive checks the entry-count ranking and the kind
+// naming for a WithLockFactory grid.
 func TestHeatmapNonAdaptive(t *testing.T) {
 	m := New[int, int](
 		WithStripes(8),
@@ -71,8 +18,8 @@ func TestHeatmapNonAdaptive(t *testing.T) {
 		m.Put(i, i)
 	}
 	h := m.Heatmap(0) // all stripes
-	if h.Adaptive {
-		t.Fatal("Adaptive = true on a plain Map")
+	if h.Stripes != 8 {
+		t.Fatalf("Stripes = %d, want 8", h.Stripes)
 	}
 	if len(h.Top) != 8 {
 		t.Fatalf("len(Top) = %d, want all 8 stripes", len(h.Top))
@@ -89,16 +36,38 @@ func TestHeatmapNonAdaptive(t *testing.T) {
 		if sh.LockKind != "MWSF" {
 			t.Errorf("stripe %d LockKind = %q, want MWSF", sh.Index, sh.LockKind)
 		}
-		if sh.Hot || sh.SampledHits != 0 || sh.Window != 0 {
-			t.Errorf("stripe %d has adaptive fields set on a plain Map: %+v", sh.Index, sh)
+	}
+}
+
+// TestHeatmapEntriesReported: a cut snapshot's Entries is the sum over
+// the stripes it reports, not over the whole Map, and the cut keeps
+// the largest stripes.
+func TestHeatmapEntriesReported(t *testing.T) {
+	m := New[int, int](WithStripes(8))
+	for i := 0; i < 200; i++ {
+		m.Put(i, i)
+	}
+	all := m.Heatmap(0)
+	h := m.Heatmap(2)
+	if len(h.Top) != 2 {
+		t.Fatalf("len(Top) = %d, want 2", len(h.Top))
+	}
+	sum := 0
+	for i, sh := range h.Top {
+		sum += sh.Entries
+		if sh != all.Top[i] {
+			t.Errorf("Top[%d] = %+v, want the full ranking's %+v", i, sh, all.Top[i])
 		}
+	}
+	if h.Entries != sum {
+		t.Fatalf("Heatmap(2).Entries = %d, want the reported stripes' sum %d (Len %d)", h.Entries, sum, m.Len())
 	}
 }
 
 // TestHeatmapConcurrent races Heatmap against live traffic; run under
 // -race this pins that the snapshot takes the stripe locks it needs.
 func TestHeatmapConcurrent(t *testing.T) {
-	m := New[string, int](WithStripes(8), WithHotSet(2))
+	m := New[string, int](WithStripes(8))
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -20,20 +20,11 @@
 // exposes read-modify-write without a Get/Put race, and GetOrCompute
 // fills a missing entry under a single write acquisition.
 //
-// WithAdaptiveLocks / WithHotSet turn on contention-driven lock
-// heterogeneity: every stripe starts on a 16-byte Slim lock, a
-// sampled per-stripe traffic counter finds the hot set, and the Map
-// promotes just those stripes to full Bravo/Epoch wrappers on the
-// shared reader arena (demoting them again when they cool).  See
-// adaptive.go for the machinery and the swap protocol.
-//
-// For introspection, Map.Stats reports grid-wide counters (entry
-// count, promotion/demotion traffic, hot-set high-water mark) and
-// Map.Heatmap returns a per-stripe load snapshot — entries, sampled
-// traffic, and promotion state per stripe — which is how a Slim-lock
+// Map.Heatmap returns a per-stripe snapshot — entry count and lock
+// kind per stripe, largest shards first — which is how a Slim-lock
 // grid is observed, since Slim locks sit outside the rwlock stats
-// seam.  The rwstats package serves both over expvar, Prometheus
-// text format, and JSON.
+// seam.  The rwstats package serves it over expvar, Prometheus text
+// format, and JSON.
 //
 // The zero Map is not ready; construct with New.  All methods are
 // safe for concurrent use.  Range takes no global snapshot: it locks
@@ -45,7 +36,6 @@ package rwmap
 import (
 	"hash/maphash"
 	"math/bits"
-	"sync/atomic"
 
 	"rwsync/rwlock"
 )
@@ -59,9 +49,8 @@ const maxStripes = 1 << 20
 // methods off a generic options type, so options are plain funcs over
 // this struct.
 type config struct {
-	stripes  int
-	factory  func() rwlock.RWLock
-	adaptive AdaptiveConfig
+	stripes int
+	factory func() rwlock.RWLock
 }
 
 // Option configures New.
@@ -80,7 +69,6 @@ func WithStripes(n int) Option {
 // counts prefer constructors whose per-instance footprint is small
 // (rwlock.NewSlimBravo, rwlock.NewSlimEpoch — 16 bytes each on a
 // shared reader table) over the full wrappers (kilobytes each).
-// Incompatible with WithAdaptiveLocks, which owns the stripe locks.
 func WithLockFactory(f func() rwlock.RWLock) Option {
 	if f == nil {
 		panic("rwmap: WithLockFactory needs a non-nil factory")
@@ -88,84 +76,16 @@ func WithLockFactory(f func() rwlock.RWLock) Option {
 	return func(c *config) { c.factory = f }
 }
 
-// stripeLock bundles one published lock state: the lock, its closure
-// write path when (and only when) the lock flat-combines, and the
-// adaptive bookkeeping.  The bundle is published through an atomic
-// pointer so a promotion swaps lock and write-path resolve together.
-type stripeLock struct {
-	lock rwlock.RWLock
-	fw   rwlock.FuncWriter // non-nil only when lock combines closure writes
-	hot  bool              // promoted full wrapper?
-	cold *stripeLock       // promotion stashes the Slim bundle here for demotion
-}
-
-// newStripeLock resolves l's closure write path once.  Only a
+// stripe is one shard: its lock, the lock's closure write path when
+// (and only when) the lock flat-combines, and the shard map.  Only a
 // flat-combining lock gets fw: every lock in the registry implements
 // FuncWriter, but on a non-combining lock Write is Lock/cs/Unlock
 // with the closure forced to the heap, while the token path is the
 // same semantics allocation-free.
-func newStripeLock(l rwlock.RWLock) *stripeLock {
-	sl := &stripeLock{lock: l}
-	if _, combines := rwlock.CombinerStatsOf(l); combines {
-		sl.fw, _ = l.(rwlock.FuncWriter)
-	}
-	return sl
-}
-
-// stripe is one shard: the published lock bundle and the shard map.
-// All lock access goes through cur — the indirection the adaptive
-// promotion path swaps through; a non-adaptive Map stores cur once at
-// construction and never again.
 type stripe[K comparable, V any] struct {
-	cur atomic.Pointer[stripeLock]
-	m   map[K]V
-}
-
-// rlock acquires s's current lock in read mode and revalidates the
-// published bundle after acquiring: a promotion that swapped the lock
-// between the load and the acquire would leave this caller holding a
-// lock no writer consults any more, so it backs out and retries on
-// the newly published one.  The swap publishes only while holding the
-// previous lock's write mode (see swap), so holding the lock that is
-// current after acquisition is mutual exclusion.  On a non-adaptive
-// Map the pointer never changes and the loop is one iteration.
-func (s *stripe[K, V]) rlock() (*stripeLock, rwlock.RToken) {
-	for {
-		sl := s.cur.Load()
-		t := sl.lock.RLock()
-		if s.cur.Load() == sl {
-			return sl, t
-		}
-		sl.lock.RUnlock(t)
-	}
-}
-
-// wlock is rlock's write-mode twin.
-func (s *stripe[K, V]) wlock() (*stripeLock, rwlock.WToken) {
-	for {
-		sl := s.cur.Load()
-		t := sl.lock.Lock()
-		if s.cur.Load() == sl {
-			return sl, t
-		}
-		sl.lock.Unlock(t)
-	}
-}
-
-// swap publishes nl as s's lock bundle, riding old's closure write
-// path where the lock has one.  By the time the write passage is
-// granted every holder that validated old has left; publishing inside
-// the passage means any later acquirer of old fails rlock/wlock
-// revalidation and retries on nl.  Callers serialize swaps per stripe
-// (the adaptive maintainer holds its mutex), so old is known current.
-func (s *stripe[K, V]) swap(old, nl *stripeLock) {
-	if fw, ok := old.lock.(rwlock.FuncWriter); ok {
-		fw.Write(func() { s.cur.Store(nl) })
-		return
-	}
-	t := old.lock.Lock()
-	s.cur.Store(nl)
-	old.lock.Unlock(t)
+	lock rwlock.RWLock
+	fw   rwlock.FuncWriter // non-nil only when lock combines closure writes
+	m    map[K]V
 }
 
 // apply runs one read-modify-write against the shard map; the caller
@@ -187,15 +107,15 @@ func (s *stripe[K, V]) apply(k K, f func(v V, ok bool) (V, bool)) {
 
 // update is apply under s's write lock.
 func (s *stripe[K, V]) update(k K, f func(v V, ok bool) (V, bool)) {
-	sl, t := s.wlock()
-	defer sl.lock.Unlock(t)
+	t := s.lock.Lock()
+	defer s.lock.Unlock(t)
 	s.apply(k, f)
 }
 
 // read runs f on k's entry under s's read lock.
 func (s *stripe[K, V]) read(k K, f func(v V, ok bool)) {
-	sl, t := s.rlock()
-	defer sl.lock.RUnlock(t)
+	t := s.lock.RLock()
+	defer s.lock.RUnlock(t)
 	v, ok := s.m[k]
 	f(v, ok)
 }
@@ -203,8 +123,8 @@ func (s *stripe[K, V]) read(k K, f func(v V, ok bool)) {
 // fill is GetOrCompute's write half: under s's write lock, it
 // re-checks k and runs fill only if k is still missing.
 func (s *stripe[K, V]) fill(k K, fill func() V) (v V, loaded bool) {
-	sl, t := s.wlock()
-	defer sl.lock.Unlock(t)
+	t := s.lock.Lock()
+	defer s.lock.Unlock(t)
 	if v, loaded = s.m[k]; !loaded {
 		v = fill()
 		s.m[k] = v
@@ -215,8 +135,8 @@ func (s *stripe[K, V]) fill(k K, fill func() V) (v V, loaded bool) {
 // walk calls f for every entry of s under its read lock and reports
 // whether f asked to go on.
 func (s *stripe[K, V]) walk(f func(k K, v V) bool) bool {
-	sl, t := s.rlock()
-	defer sl.lock.RUnlock(t)
+	t := s.lock.RLock()
+	defer s.lock.RUnlock(t)
 	for k, v := range s.m {
 		if !f(k, v) {
 			return false
@@ -225,13 +145,20 @@ func (s *stripe[K, V]) walk(f func(k K, v V) bool) bool {
 	return true
 }
 
+// entries returns s's entry count, read under its read lock.
+func (s *stripe[K, V]) entries() int {
+	t := s.lock.RLock()
+	n := len(s.m)
+	s.lock.RUnlock(t)
+	return n
+}
+
 // Map is a striped concurrent map.  See the package comment for the
 // consistency contract.
 type Map[K comparable, V any] struct {
 	seed    maphash.Seed
 	mask    uint64
 	stripes []stripe[K, V]
-	ad      *adaptive // nil unless WithAdaptiveLocks/WithHotSet
 }
 
 // defaultStripes is the stripe count when WithStripes is not given:
@@ -259,12 +186,7 @@ func New[K comparable, V any](opts ...Option) *Map[K, V] {
 		n = 1 << bits.Len(uint(n))
 	}
 	factory := cfg.factory
-	if cfg.adaptive.HotSet > 0 {
-		if factory != nil {
-			panic("rwmap: WithLockFactory and WithAdaptiveLocks are mutually exclusive (adaptive mode owns the stripe locks)")
-		}
-		factory = cfg.adaptive.coldFactory()
-	} else if factory == nil {
+	if factory == nil {
 		factory = func() rwlock.RWLock { return rwlock.NewSlimBravo() }
 	}
 	m := &Map[K, V]{
@@ -272,19 +194,13 @@ func New[K comparable, V any](opts ...Option) *Map[K, V] {
 		mask:    uint64(n - 1),
 		stripes: make([]stripe[K, V], n),
 	}
-	// One slab for the cold bundles: at 2^20 stripes a per-bundle
-	// allocation would cost an object header per stripe for state that
-	// never changes size.
-	slab := make([]stripeLock, n)
 	for i := range m.stripes {
 		s := &m.stripes[i]
-		sl := &slab[i]
-		*sl = *newStripeLock(factory())
-		s.cur.Store(sl)
+		s.lock = factory()
+		if _, combines := rwlock.CombinerStatsOf(s.lock); combines {
+			s.fw, _ = s.lock.(rwlock.FuncWriter)
+		}
 		s.m = make(map[K]V)
-	}
-	if cfg.adaptive.HotSet > 0 {
-		m.ad = newAdaptive(cfg.adaptive, n)
 	}
 	return m
 }
@@ -292,36 +208,27 @@ func New[K comparable, V any](opts ...Option) *Map[K, V] {
 // Stripes returns the stripe count (a power of two in [1, 1<<20]).
 func (m *Map[K, V]) Stripes() int { return len(m.stripes) }
 
-// indexOf returns the key's stripe index.
-func (m *Map[K, V]) indexOf(k K) uint64 {
-	return maphash.Comparable(m.seed, k) & m.mask
-}
-
 // stripeOf returns the key's shard.
 func (m *Map[K, V]) stripeOf(k K) *stripe[K, V] {
-	return &m.stripes[m.indexOf(k)]
+	return &m.stripes[maphash.Comparable(m.seed, k)&m.mask]
 }
 
-// LockOf returns the lock currently guarding k's stripe — the seam
-// measurement harnesses use to wait on or inspect the exact lock a
-// hot key contends on.  Mutating the map through this lock directly
-// (instead of the Map methods) is the caller's own consistency
-// problem; on an adaptive Map the returned lock can additionally be
-// demoted or promoted away at any moment, so treat it as a sample.
+// LockOf returns the lock guarding k's stripe — the seam measurement
+// harnesses use to wait on or inspect the exact lock a hot key
+// contends on.  Each stripe keeps the lock New built for it, so the
+// same key always yields the same lock.  Mutating the map through
+// this lock directly (instead of the Map methods) is the caller's own
+// consistency problem.
 func (m *Map[K, V]) LockOf(k K) rwlock.RWLock {
-	return m.stripeOf(k).cur.Load().lock
+	return m.stripeOf(k).lock
 }
 
 // Get returns the value stored for k.
 func (m *Map[K, V]) Get(k K) (V, bool) {
-	i := m.indexOf(k)
-	s := &m.stripes[i]
-	sl, t := s.rlock()
+	s := m.stripeOf(k)
+	t := s.lock.RLock()
 	v, ok := s.m[k]
-	sl.lock.RUnlock(t)
-	if m.ad != nil {
-		m.sample(i)
-	}
+	s.lock.RUnlock(t)
 	return v, ok
 }
 
@@ -331,46 +238,33 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 // it concurrently.  f must not call back into the same Map.  If f
 // panics, the stripe is released before the panic propagates.
 func (m *Map[K, V]) Read(k K, f func(v V, ok bool)) {
-	i := m.indexOf(k)
-	m.stripes[i].read(k, f)
-	if m.ad != nil {
-		m.sample(i)
-	}
+	m.stripeOf(k).read(k, f)
 }
 
 // Put stores v for k.
 func (m *Map[K, V]) Put(k K, v V) {
-	i := m.indexOf(k)
-	s := &m.stripes[i]
-	if sl := s.cur.Load(); sl.fw != nil {
-		// Combining stripe lock (non-adaptive only — adaptive builds
-		// never combine, so no revalidation is needed on this branch):
-		// ship the mutation through the closure path it batches on.
-		sl.fw.Write(func() { s.m[k] = v })
-	} else {
-		sl, t := s.wlock()
-		s.m[k] = v
-		sl.lock.Unlock(t)
+	s := m.stripeOf(k)
+	if s.fw != nil {
+		// Combining stripe lock: ship the mutation through the closure
+		// path it batches on.
+		s.fw.Write(func() { s.m[k] = v })
+		return
 	}
-	if m.ad != nil {
-		m.sample(i)
-	}
+	t := s.lock.Lock()
+	s.m[k] = v
+	s.lock.Unlock(t)
 }
 
 // Delete removes k.
 func (m *Map[K, V]) Delete(k K) {
-	i := m.indexOf(k)
-	s := &m.stripes[i]
-	if sl := s.cur.Load(); sl.fw != nil {
-		sl.fw.Write(func() { delete(s.m, k) })
-	} else {
-		sl, t := s.wlock()
-		delete(s.m, k)
-		sl.lock.Unlock(t)
+	s := m.stripeOf(k)
+	if s.fw != nil {
+		s.fw.Write(func() { delete(s.m, k) })
+		return
 	}
-	if m.ad != nil {
-		m.sample(i)
-	}
+	t := s.lock.Lock()
+	delete(s.m, k)
+	s.lock.Unlock(t)
 }
 
 // Update atomically read-modify-writes k's entry: f receives the
@@ -383,16 +277,12 @@ func (m *Map[K, V]) Delete(k K) {
 // except on a flat-combining stripe lock, the stripe is released
 // before the panic propagates.
 func (m *Map[K, V]) Update(k K, f func(v V, ok bool) (V, bool)) {
-	i := m.indexOf(k)
-	s := &m.stripes[i]
-	if sl := s.cur.Load(); sl.fw != nil {
-		sl.fw.Write(func() { s.apply(k, f) })
-	} else {
-		s.update(k, f)
+	s := m.stripeOf(k)
+	if s.fw != nil {
+		s.fw.Write(func() { s.apply(k, f) })
+		return
 	}
-	if m.ad != nil {
-		m.sample(i)
-	}
+	s.update(k, f)
 }
 
 // GetOrCompute returns the value for k, computing and storing it on a
@@ -409,16 +299,12 @@ func (m *Map[K, V]) Update(k K, f func(v V, ok bool) (V, bool)) {
 // If fill panics, nothing is stored, the stripe is released and the
 // panic propagates; a waiting caller for k then runs its own fill.
 func (m *Map[K, V]) GetOrCompute(k K, fill func() V) (v V, loaded bool) {
-	i := m.indexOf(k)
-	s := &m.stripes[i]
-	sl, t := s.rlock()
+	s := m.stripeOf(k)
+	t := s.lock.RLock()
 	v, loaded = s.m[k]
-	sl.lock.RUnlock(t)
+	s.lock.RUnlock(t)
 	if !loaded {
 		v, loaded = s.fill(k, fill)
-	}
-	if m.ad != nil {
-		m.sample(i)
 	}
 	return v, loaded
 }
@@ -428,10 +314,7 @@ func (m *Map[K, V]) GetOrCompute(k K, fill func() V) (v V, loaded bool) {
 func (m *Map[K, V]) Len() int {
 	n := 0
 	for i := range m.stripes {
-		s := &m.stripes[i]
-		sl, t := s.rlock()
-		n += len(s.m)
-		sl.lock.RUnlock(t)
+		n += m.stripes[i].entries()
 	}
 	return n
 }

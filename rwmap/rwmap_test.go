@@ -1,7 +1,10 @@
 package rwmap
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,5 +307,104 @@ func TestCallbackPanicReleasesStripe(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGetOrCompute: sequential contract — miss fills and reports
+// loaded=false, hit returns the stored value without running fill.
+func TestGetOrCompute(t *testing.T) {
+	m := New[string, int](WithStripes(4))
+	calls := 0
+	v, loaded := m.GetOrCompute("a", func() int { calls++; return 42 })
+	if loaded || v != 42 || calls != 1 {
+		t.Fatalf("miss: got (%d,%v) after %d fills, want (42,false) after 1", v, loaded, calls)
+	}
+	v, loaded = m.GetOrCompute("a", func() int { calls++; return 99 })
+	if !loaded || v != 42 || calls != 1 {
+		t.Fatalf("hit: got (%d,%v) after %d fills, want (42,true) after 1", v, loaded, calls)
+	}
+	m.Put("a", 7)
+	if v, _ = m.GetOrCompute("a", func() int { calls++; return 0 }); v != 7 || calls != 1 {
+		t.Fatalf("hit after Put: got %d after %d fills, want 7 after 1", v, calls)
+	}
+}
+
+// TestGetOrComputeSingleFlight: of any set of concurrent callers for
+// one missing key, exactly one runs fill — the write-upgrade re-check
+// closes the Get-miss/Put lost-update window the two-acquisition
+// sequence has.
+func TestGetOrComputeSingleFlight(t *testing.T) {
+	t.Run("slim", func(t *testing.T) {
+		m := New[int, int](WithStripes(1))
+		var fills, start atomic.Int64
+		const callers = 16
+		var wg sync.WaitGroup
+		results := make([]int, callers)
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Add(1)
+				for start.Load() < callers { // line everyone up on the miss
+				}
+				results[i], _ = m.GetOrCompute(0, func() int {
+					return int(fills.Add(1)) * 1000
+				})
+			}()
+		}
+		wg.Wait()
+		if fills.Load() != 1 {
+			t.Fatalf("fill ran %d times for one missing key, want 1", fills.Load())
+		}
+		for i, r := range results {
+			if r != 1000 {
+				t.Fatalf("caller %d got %d, want the single fill's 1000", i, r)
+			}
+		}
+	})
+}
+
+// TestServingPathAllocs pins the serving-tier hot paths at zero
+// allocations on the default Slim stripes.
+func TestServingPathAllocs(t *testing.T) {
+	update := func(v int, ok bool) (int, bool) { return v + 1, true }
+	fill := func() int { return 0 }
+	pin := func(t *testing.T, name string, f func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(200, f); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+	t.Run("slim", func(t *testing.T) {
+		m, k := New[int, int](WithStripes(8)), 1
+		m.Put(k, 0)
+		pin(t, "Get", func() { m.Get(k) })
+		pin(t, "Put", func() { m.Put(k, 1) })
+		pin(t, "Update", func() { m.Update(k, update) })
+		pin(t, "GetOrCompute hit", func() { m.GetOrCompute(k, fill) })
+	})
+}
+
+// TestStripeFootprint pins the default grid's heap cost per stripe:
+// the stripe struct itself, its 16-byte SlimBravo and its empty shard
+// map, with nothing else allocated per stripe.  GC is off so the
+// delta counts every byte New allocates, garbage included; a build
+// ahead of the measured one warms the shared reader table and the
+// allocator's size-class spans.
+func TestStripeFootprint(t *testing.T) {
+	const stripes = 1 << 16
+	const maxPerStripe = 112
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.KeepAlive(New[uint64, uint64](WithStripes(stripes)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New[uint64, uint64](WithStripes(stripes))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / stripes
+	t.Logf("%.1f B/stripe at %d stripes", per, stripes)
+	if per > maxPerStripe {
+		t.Fatalf("New allocates %.1f B/stripe, want at most %d", per, maxPerStripe)
 	}
 }

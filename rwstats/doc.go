@@ -3,8 +3,8 @@
 //
 // The rwlock package's WithStats seam fills a per-lock
 // rwlock.LockStats block with always-coherent atomic counters, and
-// rwmap.Map.Heatmap snapshots per-stripe traffic; this package is the
-// delivery layer over both:
+// rwmap.Map.Heatmap snapshots per-stripe entry counts; this package
+// is the delivery layer over both:
 //
 //   - Registry names the sources: RegisterLock attaches a LockStats
 //     block under a name, RegisterMap attaches anything with a

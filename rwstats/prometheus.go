@@ -146,18 +146,8 @@ func (r *Registry) writeMaps(w io.Writer, top int) {
 	for _, h := range heats {
 		mn := labelEscaper.Replace(h.name)
 		for _, s := range h.hm.Top {
-			fmt.Fprintf(w, "rwsync_map_stripe_entries{map=\"%s\",stripe=\"%d\",kind=\"%s\",hot=\"%t\"} %d\n",
-				mn, s.Index, labelEscaper.Replace(s.LockKind), s.Hot, s.Entries)
-		}
-	}
-	fmt.Fprint(w, "# HELP rwsync_map_stripe_sampled_hits Sampled in-window traffic of one reported stripe (adaptive maps).\n# TYPE rwsync_map_stripe_sampled_hits gauge\n")
-	for _, h := range heats {
-		if !h.hm.Adaptive {
-			continue
-		}
-		mn := labelEscaper.Replace(h.name)
-		for _, s := range h.hm.Top {
-			fmt.Fprintf(w, "rwsync_map_stripe_sampled_hits{map=\"%s\",stripe=\"%d\"} %d\n", mn, s.Index, s.SampledHits)
+			fmt.Fprintf(w, "rwsync_map_stripe_entries{map=\"%s\",stripe=\"%d\",kind=\"%s\"} %d\n",
+				mn, s.Index, labelEscaper.Replace(s.LockKind), s.Entries)
 		}
 	}
 }

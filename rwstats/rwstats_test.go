@@ -60,7 +60,7 @@ func TestJSONHandlerUnderTraffic(t *testing.T) {
 	if err := r.RegisterLock("bravo", st); err != nil {
 		t.Fatal(err)
 	}
-	m := rwmap.New[int, int](rwmap.WithStripes(8), rwmap.WithHotSet(2))
+	m := rwmap.New[int, int](rwmap.WithStripes(8))
 	if err := r.RegisterMap("kv", m); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPrometheusHandler(t *testing.T) {
 	if err := r.RegisterLock(`k"v`, st); err != nil { // quote in the name exercises escaping
 		t.Fatal(err)
 	}
-	m := rwmap.New[string, int](rwmap.WithStripes(4), rwmap.WithHotSet(1))
+	m := rwmap.New[string, int](rwmap.WithStripes(4))
 	m.Put("a", 1)
 	if err := r.RegisterMap("kv", m); err != nil {
 		t.Fatal(err)
